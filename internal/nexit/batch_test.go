@@ -8,12 +8,13 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestBatchAcceptHookMatchesSerial pins the batched engine path's core
-// guarantee: for any deterministic accept/veto predicate, running with
-// BatchAcceptHook (whole runs of proposals decided at once, vetoes
-// truncating the batch) produces a Result identical to asking the same
-// predicate one proposal at a time through AcceptHook — assignments,
-// gains, rounds, transcript, stop reason, everything.
+// TestBatchAcceptHookMatchesSerial pins the engine loop's core
+// guarantee: planning whole runs of proposals and applying the accepted
+// prefix produces a Result identical to the one-proposal-per-round
+// oracle loop — assignments, gains, rounds, transcript, stop reason,
+// everything. Each trial runs three ways: a deterministic veto predicate
+// through BatchAcceptHook (asked one proposal at a time by the oracle),
+// and no hook under the in-process AlwaysAccept and VetoIfLoss policies.
 func TestBatchAcceptHookMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	turns := []TurnPolicy{Alternate, LowerGain, CoinToss}
@@ -21,25 +22,7 @@ func TestBatchAcceptHookMatchesSerial(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		na := 2 + rng.Intn(4)
 		n := 1 + rng.Intn(14)
-		mkTable := func() map[int][]int {
-			tbl := map[int][]int{}
-			for i := 0; i < n; i++ {
-				prefs := make([]int, na)
-				for k := range prefs {
-					prefs[k] = rng.Intn(21) - 10
-				}
-				prefs[i%na] = 0 // default class 0
-				tbl[i] = prefs
-			}
-			return tbl
-		}
-		tblA, tblB := mkTable(), mkTable()
-		items := make([]Item, n)
-		defaults := make([]int, n)
-		for i := 0; i < n; i++ {
-			items[i] = Item{ID: i, Flow: traffic.Flow{ID: i, Size: 1 + rng.Float64()}}
-			defaults[i] = i % na
-		}
+		tblA, tblB, items, defaults := randomUniverse(rng, n, na, 10, true, 0, 0)
 		// A deterministic veto predicate over the proposal fields both
 		// paths present identically; every third trial accepts all.
 		vetoes := trial%3 != 0
@@ -50,25 +33,28 @@ func TestBatchAcceptHookMatchesSerial(t *testing.T) {
 			PrefBound: 10,
 			Turn:      turns[trial%len(turns)],
 			Propose:   MaxSum,
-			Accept:    AlwaysAccept,
 			Stop:      stops[trial%len(stops)],
 		}
 		if trial%4 == 1 {
 			base.ReassignFraction = 0.2
 		}
 
-		serialCfg := base
-		serialCfg.Rng = rand.New(rand.NewSource(int64(trial)))
-		serialCfg.AcceptHook = func(_ Side, p Proposal) bool { return !veto(p) }
-		serial, err := Negotiate(serialCfg, &StaticEvaluator{NumAlts: na, Table: tblA},
-			&StaticEvaluator{NumAlts: na, Table: tblB}, items, defaults, na)
-		if err != nil {
-			t.Fatalf("trial %d serial: %v", trial, err)
+		compare := func(mode string, cfg Config, accept func(Side, Proposal) bool) {
+			ev := func(tbl map[int][]int) *StaticEvaluator { return &StaticEvaluator{NumAlts: na, Table: tbl} }
+			cfg.Rng = rand.New(rand.NewSource(int64(trial)))
+			want := negotiateOracle(t, cfg, ev(tblA), ev(tblB), items, defaults, na, accept)
+			cfg.Rng = rand.New(rand.NewSource(int64(trial)))
+			got, err := Negotiate(cfg, ev(tblA), ev(tblB), items, defaults, na)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, mode, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("trial %d %s (turn=%v stop=%v reassign=%v vetoes=%v): engine diverged from the oracle\noracle: %+v\nengine: %+v",
+					trial, mode, cfg.Turn, cfg.Stop, cfg.ReassignFraction > 0, vetoes, want, got)
+			}
 		}
-
-		batchCfg := base
-		batchCfg.Rng = rand.New(rand.NewSource(int64(trial)))
-		batchCfg.BatchAcceptHook = func(batch []Proposal) int {
+		hooked := base
+		hooked.BatchAcceptHook = func(batch []Proposal) int {
 			for i, p := range batch {
 				if veto(p) {
 					return i
@@ -76,15 +62,11 @@ func TestBatchAcceptHookMatchesSerial(t *testing.T) {
 			}
 			return len(batch)
 		}
-		batched, err := Negotiate(batchCfg, &StaticEvaluator{NumAlts: na, Table: tblA},
-			&StaticEvaluator{NumAlts: na, Table: tblB}, items, defaults, na)
-		if err != nil {
-			t.Fatalf("trial %d batched: %v", trial, err)
-		}
-
-		if !reflect.DeepEqual(serial, batched) {
-			t.Fatalf("trial %d (turn=%v stop=%v reassign=%v vetoes=%v): batched result diverged\nserial:  %+v\nbatched: %+v",
-				trial, base.Turn, base.Stop, base.ReassignFraction > 0, vetoes, serial, batched)
+		compare("hook", hooked, func(_ Side, p Proposal) bool { return !veto(p) })
+		for _, acc := range []AcceptPolicy{AlwaysAccept, VetoIfLoss} {
+			local := base
+			local.Accept = acc
+			compare(acc.String(), local, nil)
 		}
 	}
 }

@@ -110,24 +110,17 @@ type Config struct {
 	// selects fully deterministic behavior (lowest index wins ties).
 	Rng *rand.Rand
 
-	// AcceptHook, when non-nil, replaces the accept policy: it is asked
-	// whether the given side accepts the proposal. The wire protocol
-	// uses this to forward accept/veto decisions to the remote agent.
-	AcceptHook func(acceptor Side, p Proposal) bool
-
-	// BatchAcceptHook, when non-nil, takes precedence over AcceptHook
-	// and receives whole runs of proposals at once: the engine plans the
-	// maximal sequence of proposals it would make if every one were
-	// accepted (the sequence is deterministic in the current preference
-	// state, so it can be computed without committing anything), and the
-	// hook returns how many leading proposals the counterpart accepted.
-	// A return short of the batch means proposal [n] was vetoed and the
-	// tail was never considered; the engine records the veto and
-	// replans, exactly as if the proposals had been asked one by one.
-	// The wire protocol uses this to collapse per-item accept/commit
-	// round trips into one frame exchange per batch; the negotiation
-	// outcome (assignment, gains, rounds, transcript, stop reason) is
-	// identical to the unbatched run by construction.
+	// BatchAcceptHook, when non-nil, replaces the accept policy. The
+	// engine plans the maximal sequence of proposals it would make if
+	// every one were accepted (the sequence is deterministic in the
+	// current preference state, so it can be computed without committing
+	// anything), and the hook returns how many leading proposals the
+	// counterpart accepted. A return short of the batch means proposal [n]
+	// was vetoed and the tail was never considered; the engine records the
+	// veto and replans, exactly as if the proposals had been asked one by
+	// one. The wire protocol uses this to carry one frame exchange per
+	// batch. When nil, an in-process acceptor applies Accept to each
+	// planned proposal in order.
 	BatchAcceptHook func(batch []Proposal) int
 
 	// ExtraDeficitA and ExtraDeficitB widen the respective side's
@@ -204,8 +197,8 @@ type Result struct {
 	// default until neither side is below zero. With floor-rounded
 	// classes this guarantees no real loss for either ISP.
 	Reverted int
-	// Transcript lists every proposal in order. Nil unless
-	// Config.RecordTranscript was set... recorded always (small).
+	// Transcript lists every proposal in order, accepted or vetoed. It is
+	// always recorded.
 	Transcript []Proposal
 	// Stopped describes why negotiation ended.
 	Stopped StopReason
@@ -315,13 +308,19 @@ type negotiation struct {
 	// the terminal unwind.
 	commits []commitRecord
 
+	// batch, committed and orderSnap are runBatched's per-batch scratch:
+	// the planned proposals, the items planning took off the table, and
+	// the order to restore afterwards.
+	batch     []Proposal
+	committed []int
+	orderSnap []int
+
 	result *Result
 
-	totalSize      float64
-	negotiatedSize float64
-	sinceReassign  float64
-	lastTurn       Side
-	haveTurn       bool
+	totalSize     float64
+	sinceReassign float64
+	lastTurn      Side
+	haveTurn      bool
 }
 
 // bestEntry caches one bestAlt result.
@@ -330,14 +329,25 @@ type bestEntry struct {
 	ok       bool
 }
 
+// scanFilter selects the candidate set of a max-sum scan: unfiltered,
+// or the deficit-recovery pass restricted to alternatives the deficit
+// side strictly gains on.
+type scanFilter int
+
+const (
+	filterNone     scanFilter = iota
+	filterDeficitA            // prefsA[k] > 0
+	filterDeficitB            // prefsB[k] > 0
+)
+
 // scanEntry caches the gain-independent part of one item's inner loop in
 // scanMaxSum. The admissible alternatives split into:
 //
 //   - the strict set — the default alternative plus every k with
 //     combined sum > 0. Its best (sum, own-pref) under the scan's
 //     selection rule depends only on prefs and vetoes, never on the
-//     cumulative gains, so it is cached per proposer side (the own-pref
-//     tie-break differs between sides).
+//     cumulative gains, so it is cached once per filter (strict[f]) with
+//     both sides' own-pref tie-breaks.
 //   - the zero set — non-default alternatives with combined sum == 0.
 //     Their admissibility DOES depend on the gains (both cumulative
 //     gains must stay non-negative), but with prefA + prefB == 0 the
@@ -345,32 +355,43 @@ type bestEntry struct {
 //     evaluates the cached (prefA, k) list against the current gains in
 //     O(list) with no prefs-table loads.
 //
-// The deficit-recovery scan (propose's filtered pass when one side's
-// cumulative gain is negative) gets its own cached strict sets dA/dB:
-// the best strict candidate restricted to alternatives the deficit side
-// strictly gains on (prefsA[k] > 0 for dA, prefsB[k] > 0 for dB). The
-// zero list is shared — when the deficit side's gain is negative, the
-// sum-zero admission window -GainA <= prefA <= GainB already implies the
-// deficit side's preference is positive, so no filtered copy is needed.
+// The zero list is shared by every filter: when the deficit side's gain
+// is negative, the sum-zero admission window already implies the deficit
+// side's preference is positive, so no filtered copy is needed.
 //
-// Entries are exact only in the regimes scanFastEligible (or the
-// deficit-scan eligibility in scanMaxSumDeficit) admits; any other state
-// falls back to the reference loop.
+// Entries are exact only in the regimes scanCacheExact admits; any other
+// state falls back to the reference loop.
 type scanEntry struct {
-	ok       bool
-	strictOK bool
-	strictS  int
-	ownA     int
-	ownB     int
-	kA, kB   int32
-	zeroLen  int32
+	ok      bool
+	zeroLen int32
+	strict  [3]scanBest // indexed by scanFilter
+}
 
-	dAOK, dBOK     bool
-	dAS, dBS       int
-	dAOwnA, dAOwnB int
-	dBOwnA, dBOwnB int
-	dAKA, dAKB     int32
-	dBKA, dBKB     int32
+// scanBest is the best strict candidate of one filter: its combined sum
+// and, per proposer side, the highest own preference at that sum and the
+// first alternative attaining it.
+type scanBest struct {
+	ok         bool
+	sum        int
+	ownA, ownB int
+	kA, kB     int32
+}
+
+// offer folds alternative k (classes pa, pb) into the best. Callers
+// offer in ascending k, and only strictly greater values replace, so
+// ties keep the first alternative — the reference loop's tie-break.
+func (b *scanBest) offer(k, pa, pb int) {
+	switch s := pa + pb; {
+	case !b.ok || s > b.sum:
+		*b = scanBest{ok: true, sum: s, ownA: pa, ownB: pb, kA: int32(k), kB: int32(k)}
+	case s == b.sum:
+		if pa > b.ownA {
+			b.ownA, b.kA = pa, int32(k)
+		}
+		if pb > b.ownB {
+			b.ownB, b.kB = pb, int32(k)
+		}
+	}
 }
 
 // buildScanEntry fills the cache entry for one item from the current
@@ -379,62 +400,21 @@ func (n *negotiation) buildScanEntry(id int) *scanEntry {
 	e := &n.scanCache[id]
 	def := n.defaults[id]
 	pa, pb := n.prefsA[id], n.prefsB[id]
-	e.strictOK, e.dAOK, e.dBOK = false, false, false
-	e.strictS, e.dAS, e.dBS = -1<<30, -1<<30, -1<<30
+	e.strict = [3]scanBest{}
 	zo := id * n.numAlts
 	zl := 0
 	for k := 0; k < n.numAlts; k++ {
 		if n.nVetoed > 0 && n.vetoed[[2]int{id, k}] {
 			continue
 		}
-		s := pa[k] + pb[k]
-		switch {
+		switch s := pa[k] + pb[k]; {
 		case k == def || s > 0:
-			if !e.strictOK || s > e.strictS {
-				e.strictOK = true
-				e.strictS = s
-				e.ownA, e.kA = pa[k], int32(k)
-				e.ownB, e.kB = pb[k], int32(k)
-			} else if s == e.strictS {
-				// Ascending k with strictly-greater updates keeps the
-				// first alternative attaining the per-side maximum —
-				// the reference loop's tie-break.
-				if pa[k] > e.ownA {
-					e.ownA, e.kA = pa[k], int32(k)
-				}
-				if pb[k] > e.ownB {
-					e.ownB, e.kB = pb[k], int32(k)
-				}
-			}
+			e.strict[filterNone].offer(k, pa[k], pb[k])
 			if pa[k] > 0 {
-				if !e.dAOK || s > e.dAS {
-					e.dAOK = true
-					e.dAS = s
-					e.dAOwnA, e.dAKA = pa[k], int32(k)
-					e.dAOwnB, e.dAKB = pb[k], int32(k)
-				} else if s == e.dAS {
-					if pa[k] > e.dAOwnA {
-						e.dAOwnA, e.dAKA = pa[k], int32(k)
-					}
-					if pb[k] > e.dAOwnB {
-						e.dAOwnB, e.dAKB = pb[k], int32(k)
-					}
-				}
+				e.strict[filterDeficitA].offer(k, pa[k], pb[k])
 			}
 			if pb[k] > 0 {
-				if !e.dBOK || s > e.dBS {
-					e.dBOK = true
-					e.dBS = s
-					e.dBOwnA, e.dBKA = pa[k], int32(k)
-					e.dBOwnB, e.dBKB = pb[k], int32(k)
-				} else if s == e.dBS {
-					if pa[k] > e.dBOwnA {
-						e.dBOwnA, e.dBKA = pa[k], int32(k)
-					}
-					if pb[k] > e.dBOwnB {
-						e.dBOwnB, e.dBKB = pb[k], int32(k)
-					}
-				}
+				e.strict[filterDeficitB].offer(k, pa[k], pb[k])
 			}
 		case s == 0:
 			n.zeroPaBuf[zo+zl] = int32(pa[k])
@@ -451,6 +431,18 @@ func (n *negotiation) buildScanEntry(id int) *scanEntry {
 // number of interconnections (alternatives per item); defaults[i] is the
 // default alternative of items[i] (what the flow uses absent agreement).
 func Negotiate(cfg Config, evalA, evalB Evaluator, items []Item, defaults []int, numAlts int) (*Result, error) {
+	n, err := newNegotiation(cfg, evalA, evalB, items, defaults, numAlts)
+	if err != nil {
+		return nil, err
+	}
+	n.runBatched()
+	n.unwindDeficits()
+	return n.result, nil
+}
+
+// newNegotiation validates the inputs, sizes the engine state for them
+// and collects the initial preferences.
+func newNegotiation(cfg Config, evalA, evalB Evaluator, items []Item, defaults []int, numAlts int) (*negotiation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -492,17 +484,16 @@ func Negotiate(cfg Config, evalA, evalB Evaluator, items []Item, defaults []int,
 	n.selIn = make([]bool, len(items))
 	n.histA = make([]int32, 2*cfg.PrefBound+1)
 	n.histB = make([]int32, 2*cfg.PrefBound+1)
+	// Every planned proposal takes a distinct item off the table, so no
+	// batch outgrows the item count.
+	n.batch = make([]Proposal, 0, len(items))
+	n.committed = make([]int, 0, len(items))
+	n.orderSnap = make([]int, 0, len(items))
 	for _, it := range items {
 		n.totalSize += it.Flow.Size
 	}
 	n.refreshPrefs()
-	if cfg.BatchAcceptHook != nil {
-		n.runBatched()
-	} else {
-		n.run()
-	}
-	n.unwindDeficits()
-	return n.result, nil
+	return n, nil
 }
 
 // commitRecord pairs a committed item with the classes it was accepted
@@ -527,17 +518,15 @@ func (n *negotiation) unwindDeficits() {
 		return // all-flows mode trades social welfare deliberately
 	}
 	for {
-		var deficit *int
-		sideA := false
+		var sideA bool
 		switch {
 		case n.result.GainA < -n.cfg.ExtraDeficitA:
-			deficit, sideA = &n.result.GainA, true
+			sideA = true
 		case n.result.GainB < -n.cfg.ExtraDeficitB:
-			deficit, sideA = &n.result.GainB, false
+			sideA = false
 		default:
 			return
 		}
-		_ = deficit
 		best := -1
 		for i, rec := range n.commits {
 			if rec.reverted || n.result.Assign[rec.id] != rec.alt || rec.alt == n.defaults[rec.id] {
@@ -723,49 +712,6 @@ func (n *negotiation) rebuildOrder() {
 	})
 }
 
-// run executes rounds until a stop condition fires or everything is
-// negotiated.
-func (n *negotiation) run() {
-	for {
-		n.compactOrder()
-		if len(n.order) == 0 {
-			n.result.Stopped = StopAllNegotiated
-			return
-		}
-		proposer := n.decideTurn()
-		id, alt, ok := n.propose(proposer)
-		if !ok {
-			// The proposer has nothing it can afford to propose; give
-			// the other side one chance before concluding.
-			proposer = proposer.Other()
-			n.lastTurn = proposer
-			id, alt, ok = n.propose(proposer)
-		}
-		if !ok {
-			// No proposable alternative left on either side.
-			n.result.Stopped = StopNoJointGain
-			return
-		}
-		if reason, stop := n.shouldStop(id, alt); stop {
-			n.result.Stopped = reason
-			return
-		}
-		pA, pB := n.prefsA[id][alt], n.prefsB[id][alt]
-		accepted := n.accept(proposer.Other(), id, alt)
-		n.result.Transcript = append(n.result.Transcript, Proposal{
-			Round: n.result.Rounds, Proposer: proposer, ItemID: id, Alt: alt,
-			PrefA: pA, PrefB: pB, Accepted: accepted,
-		})
-		n.result.Rounds++
-		if !accepted {
-			// Veto: exclude this (item, alt) pair and re-evaluate.
-			n.veto(id, alt)
-			continue
-		}
-		n.commit(id, alt, pA, pB)
-	}
-}
-
 // veto excludes an (item, alt) pair and re-evaluates the order.
 func (n *negotiation) veto(id, alt int) {
 	n.vetoed[[2]int{id, alt}] = true
@@ -781,57 +727,51 @@ func (n *negotiation) veto(id, alt int) {
 // simulating rounds, so runBatched can restore it before applying the
 // counterpart's decisions for real.
 type engineSnap struct {
-	gainA, gainB, rounds          int
-	negotiatedSize, sinceReassign float64
-	lastTurn                      Side
-	haveTurn                      bool
+	gainA, gainB, rounds int
+	sinceReassign        float64
+	lastTurn             Side
+	haveTurn             bool
 }
 
 func (n *negotiation) snapshot() engineSnap {
 	return engineSnap{
 		gainA: n.result.GainA, gainB: n.result.GainB, rounds: n.result.Rounds,
-		negotiatedSize: n.negotiatedSize, sinceReassign: n.sinceReassign,
-		lastTurn: n.lastTurn, haveTurn: n.haveTurn,
+		sinceReassign: n.sinceReassign, lastTurn: n.lastTurn, haveTurn: n.haveTurn,
 	}
 }
 
-func (n *negotiation) restore(s engineSnap, committed, orderSnap []int) {
+func (n *negotiation) restore(s engineSnap) {
 	n.result.GainA, n.result.GainB, n.result.Rounds = s.gainA, s.gainB, s.rounds
-	n.negotiatedSize, n.sinceReassign = s.negotiatedSize, s.sinceReassign
-	n.lastTurn, n.haveTurn = s.lastTurn, s.haveTurn
-	for _, id := range committed {
+	n.sinceReassign, n.lastTurn, n.haveTurn = s.sinceReassign, s.lastTurn, s.haveTurn
+	for _, id := range n.committed {
 		n.remaining[id] = true
 		// Prefs, vetoes, and bestAlt are untouched by planning, so
 		// re-counting restores the histograms to the pre-plan state.
 		n.selAdd(id)
 	}
-	n.order = append(n.order[:0], orderSnap...)
+	n.order = append(n.order[:0], n.orderSnap...)
 }
 
-// runBatched is run() when Config.BatchAcceptHook is set: instead of
-// asking the counterpart about one proposal per round, the engine plans
-// the maximal run of proposals it would make if every one were accepted
-// and submits them as a batch. The plan is a faithful simulation of the
-// round loop (same decideTurn/propose/shouldStop code over the same
-// state), so applying the accepted prefix reproduces the unbatched
-// negotiation exactly; a veto truncates the batch at the vetoed
-// proposal, which is recorded and replanned around just as in run().
+// runBatched is the engine loop. Instead of asking the counterpart about
+// one proposal per round, the engine plans the maximal run of proposals
+// it would make if every one were accepted and submits them as a batch —
+// to Config.BatchAcceptHook, or to the in-process acceptLocal. The plan
+// is a faithful simulation of the round loop (same decideTurn/propose/
+// shouldStop code over the same state), so applying the accepted prefix
+// reproduces the one-proposal-per-round protocol of §4 exactly; a veto
+// truncates the batch at the vetoed proposal, which is recorded and
+// replanned around.
 //
 // A batch ends early at a reassignment boundary (preferences must be
 // recollected before further rounds can be planned) and is capped at
 // one proposal under CoinToss turns: planning ahead would draw turn
 // decisions from the Rng for proposals a veto may discard, desyncing
-// the stream from the serial reference.
+// the stream from the round-by-round protocol.
 func (n *negotiation) runBatched() {
 	maxBatch := 0 // unlimited
 	if n.cfg.Turn == CoinToss {
 		maxBatch = 1
 	}
-	var (
-		batch     []Proposal
-		committed []int
-		orderSnap []int
-	)
 	for {
 		n.compactOrder()
 		if len(n.order) == 0 {
@@ -839,22 +779,22 @@ func (n *negotiation) runBatched() {
 			return
 		}
 		snap := n.snapshot()
-		orderSnap = append(orderSnap[:0], n.order...)
-		batch, committed = batch[:0], committed[:0]
-		reason, stopped := n.planBatch(&batch, &committed, maxBatch)
-		n.restore(snap, committed, orderSnap)
+		n.orderSnap = append(n.orderSnap[:0], n.order...)
+		n.batch, n.committed = n.batch[:0], n.committed[:0]
+		reason, stopped := n.planBatch(maxBatch)
+		n.restore(snap)
+		batch := n.batch
 		if len(batch) == 0 {
 			// The very next round stops; no proposal ever reaches the
 			// counterpart.
 			n.result.Stopped = reason
 			return
 		}
-		accepted := n.cfg.BatchAcceptHook(batch)
-		if accepted > len(batch) {
-			accepted = len(batch)
-		}
-		if accepted < 0 {
-			accepted = 0
+		var accepted int
+		if n.cfg.BatchAcceptHook != nil {
+			accepted = min(max(n.cfg.BatchAcceptHook(batch), 0), len(batch))
+		} else {
+			accepted = n.acceptLocal(batch)
 		}
 		for _, p := range batch[:accepted] {
 			n.result.Transcript = append(n.result.Transcript, p)
@@ -883,15 +823,15 @@ func (n *negotiation) runBatched() {
 }
 
 // planBatch simulates rounds assuming every proposal is accepted,
-// appending to batch, until a stop condition fires (returned with
+// appending to n.batch, until a stop condition fires (returned with
 // stopped=true), a reassignment boundary is crossed, or maxBatch
 // proposals are planned (stopped=false: more rounds may follow once the
 // batch is applied). Simulated commits touch only the bookkeeping that
 // decideTurn/propose/shouldStop read — gains, rounds, remaining, order,
 // traffic counters — never evaluators, assignments, or the transcript;
-// committed collects the IDs taken off the table so restore can put
+// n.committed collects the IDs taken off the table so restore can put
 // them back.
-func (n *negotiation) planBatch(batch *[]Proposal, committed *[]int, maxBatch int) (StopReason, bool) {
+func (n *negotiation) planBatch(maxBatch int) (StopReason, bool) {
 	for {
 		n.compactOrder()
 		if len(n.order) == 0 {
@@ -911,26 +851,24 @@ func (n *negotiation) planBatch(batch *[]Proposal, committed *[]int, maxBatch in
 			return reason, true
 		}
 		pA, pB := n.prefsA[id][alt], n.prefsB[id][alt]
-		*batch = append(*batch, Proposal{
+		n.batch = append(n.batch, Proposal{
 			Round: n.result.Rounds, Proposer: proposer, ItemID: id, Alt: alt,
 			PrefA: pA, PrefB: pB, Accepted: true,
 		})
 		n.result.Rounds++
 		n.remaining[id] = false
 		n.selRemove(id)
-		*committed = append(*committed, id)
+		n.committed = append(n.committed, id)
 		n.result.GainA += pA
 		n.result.GainB += pB
-		size := n.items[id].Flow.Size
-		n.negotiatedSize += size
-		n.sinceReassign += size
+		n.sinceReassign += n.items[id].Flow.Size
 		if n.cfg.ReassignFraction > 0 && n.totalSize > 0 &&
 			n.sinceReassign >= n.cfg.ReassignFraction*n.totalSize {
 			// The real commit of this proposal refreshes preferences;
 			// nothing past it can be planned from the current tables.
 			return 0, false
 		}
-		if maxBatch > 0 && len(*batch) >= maxBatch {
+		if maxBatch > 0 && len(n.batch) >= maxBatch {
 			return 0, false
 		}
 	}
@@ -960,17 +898,6 @@ func (n *negotiation) compactOrder() {
 // n.order (order is compacted to the remaining set before every caller),
 // so the scan is O(P) per round instead of O(remaining items).
 func (n *negotiation) maxSelectedPref() (maxA, maxB int) {
-	maxA, maxB = n.maxSelectedPrefHist()
-	if debugScanChecks {
-		wantA, wantB := n.maxSelectedPrefRef()
-		if maxA != wantA || maxB != wantB {
-			panic(fmt.Sprintf("nexit: maxSelectedPref mismatch: hist (%d,%d) ref (%d,%d)", maxA, maxB, wantA, wantB))
-		}
-	}
-	return maxA, maxB
-}
-
-func (n *negotiation) maxSelectedPrefHist() (maxA, maxB int) {
 	maxA, maxB = -1<<30, -1<<30
 	if n.selCount == 0 {
 		return maxA, maxB
@@ -985,22 +912,6 @@ func (n *negotiation) maxSelectedPrefHist() (maxA, maxB int) {
 		if n.histB[p] > 0 {
 			maxB = p - n.cfg.PrefBound
 			break
-		}
-	}
-	return maxA, maxB
-}
-
-// maxSelectedPrefRef is the direct reference implementation, retained
-// for the debugScanChecks cross-verification.
-func (n *negotiation) maxSelectedPrefRef() (maxA, maxB int) {
-	maxA, maxB = -1<<30, -1<<30
-	for _, id := range n.order {
-		alt, _ := n.bestAlt(id)
-		if p := n.prefsA[id][alt]; p > maxA {
-			maxA = p
-		}
-		if p := n.prefsB[id][alt]; p > maxB {
-			maxB = p
 		}
 	}
 	return maxA, maxB
@@ -1074,7 +985,6 @@ func (n *negotiation) commit(id, alt, pA, pB int) {
 	it := n.items[id]
 	n.evalA.Commit(it, alt)
 	n.evalB.Commit(it, alt)
-	n.negotiatedSize += it.Flow.Size
 	n.sinceReassign += it.Flow.Size
 	if n.cfg.ReassignFraction > 0 && n.totalSize > 0 &&
 		n.sinceReassign >= n.cfg.ReassignFraction*n.totalSize {

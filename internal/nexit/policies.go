@@ -167,7 +167,7 @@ func (n *negotiation) decideTurn() Side {
 // are always accepted.
 //
 // Under VetoIfLoss the proposer additionally self-censors candidates it
-// cannot strictly afford (the acceptor protects itself in accept()).
+// cannot strictly afford (the acceptor protects itself in acceptLocal).
 func (n *negotiation) affordable(proposer Side, id, alt int) bool {
 	if n.cfg.Stop == StopEarly {
 		pa, pb := n.prefsA[id][alt], n.prefsB[id][alt]
@@ -190,14 +190,14 @@ func (n *negotiation) affordable(proposer Side, id, alt int) bool {
 // the chosen (item, alternative). ok is false when nothing proposable
 // remains.
 func (n *negotiation) propose(proposer Side) (id, alt int, ok bool) {
-	own, other := n.prefsA, n.prefsB
-	if proposer == SideB {
-		own, other = n.prefsB, n.prefsA
-	}
 	switch n.cfg.Propose {
 	case BestLocal:
 		// Maximize own preference; break ties by minimizing harm to the
 		// other ISP, then by item/alternative index.
+		own, other := n.prefsA, n.prefsB
+		if proposer == SideB {
+			own, other = n.prefsB, n.prefsA
+		}
 		bestOwn, bestOther := -1<<30, -1<<30
 		id, alt = -1, -1
 		for _, cand := range n.order {
@@ -218,75 +218,88 @@ func (n *negotiation) propose(proposer Side) (id, alt int, ok bool) {
 		// candidates strictly positive for the deficit side so its gain
 		// is repaired before further trades. Fall back to the normal
 		// scan if no recovery candidate is proposable.
-		if n.cfg.Stop == StopEarly {
-			if n.result.GainA < 0 {
-				if id, alt, ok := n.scanMaxSumDeficit(proposer, own, other, SideA); ok {
-					return id, alt, true
-				}
-			} else if n.result.GainB < 0 {
-				if id, alt, ok := n.scanMaxSumDeficit(proposer, own, other, SideB); ok {
-					return id, alt, true
-				}
+		if f := n.deficitFilter(); f != filterNone {
+			if id, alt, ok := n.scanMaxSum(proposer, f); ok {
+				return id, alt, true
 			}
 		}
-		return n.scanMaxSum(proposer, own, other, nil)
+		return n.scanMaxSum(proposer, filterNone)
 	}
 }
 
-// debugScanChecks enables cross-verification of the cached fast scan and
-// the histogram-backed stop check against their direct reference loops,
-// panicking on any divergence. Tests flip it on; it stays false in
-// normal runs.
-var debugScanChecks = false
+// deficitFilter returns the recovery filter propose's max-sum scan
+// tries first: under early termination, the first side (A before B)
+// whose cumulative gain is negative; filterNone otherwise.
+func (n *negotiation) deficitFilter() scanFilter {
+	switch {
+	case n.cfg.Stop != StopEarly:
+		return filterNone
+	case n.result.GainA < 0:
+		return filterDeficitA
+	case n.result.GainB < 0:
+		return filterDeficitB
+	}
+	return filterNone
+}
 
-// scanFastEligible reports whether the cached fast scan is exact in the
-// current gain state. With both cumulative gains non-negative, clamped
+// scanMaxSum finds the affordable, non-vetoed candidate within filter f
+// maximizing the combined preference sum, breaking ties with the
+// proposer's own preference, then the lowest item/alternative index. It
+// runs the cached scan where that is exact and the reference loop
+// everywhere else.
+func (n *negotiation) scanMaxSum(proposer Side, f scanFilter) (id, alt int, ok bool) {
+	if n.scanCacheExact(f) {
+		return n.scanMaxSumFast(proposer, f)
+	}
+	return n.scanMaxSumRef(proposer, f)
+}
+
+// scanCacheExact reports whether the cached scan under filter f is exact
+// in the current gain state.
+//
+// Unfiltered: with both cumulative gains non-negative, clamped
 // preferences (|p| <= P) can never trip the StopEarly deficit bounds in
 // affordable, and under VetoIfLoss gains of at least P make the
 // proposer's self-censoring vacuous — so affordability holds for every
 // candidate and the scan outcome depends on the gains only through the
-// sum-zero admission rule, which the cache evaluates exactly. Outside
-// these regimes scanMaxSum falls back to the reference loop.
-func (n *negotiation) scanFastEligible() bool {
-	if n.result.GainA < 0 || n.result.GainB < 0 {
-		return false
-	}
-	if n.cfg.Accept == VetoIfLoss &&
-		(n.result.GainA < n.cfg.PrefBound || n.result.GainB < n.cfg.PrefBound) {
-		return false
-	}
-	return true
-}
-
-// scanMaxSum finds the affordable, non-vetoed candidate maximizing the
-// combined preference sum, breaking ties with the proposer's own
-// preference, then the lowest item/alternative index. An optional extra
-// filter restricts the candidate set.
+// sum-zero admission rule, which the cache evaluates exactly.
 //
-// The unfiltered scan in the common gain regimes dispatches to the
-// cached fast path; anything else runs the direct reference loop.
-func (n *negotiation) scanMaxSum(proposer Side, own, other [][]int, filter func(cand, k int) bool) (id, alt int, ok bool) {
-	if filter == nil && n.scanFastEligible() {
-		id, alt, ok = n.scanMaxSumFast(proposer)
-		if debugScanChecks {
-			wantID, wantAlt, wantOK := n.scanMaxSumRef(proposer, own, other, nil)
-			if id != wantID || alt != wantAlt || ok != wantOK {
-				panic(fmt.Sprintf("nexit: scanMaxSum mismatch: fast (%d,%d,%v) ref (%d,%d,%v)",
-					id, alt, ok, wantID, wantAlt, wantOK))
-			}
-		}
-		return id, alt, ok
+// Deficit-filtered (the deficit side's gain is negative, see
+// deficitFilter):
+//
+//   - the filter p_deficit > 0 plus the invariant that the deficit
+//     side's gain never fell below its own bound make the StopEarly
+//     affordability check vacuous for the deficit side;
+//   - the OTHER side's bound is vacuous whenever its gain is
+//     non-negative (clamped preferences cannot dip it past -P);
+//   - sum-zero candidates are admitted by the same gain window as the
+//     unfiltered scan, and with the deficit gain negative that window
+//     already forces the deficit side's preference positive — so the
+//     shared zero list applies unchanged.
+//
+// VetoIfLoss self-censoring and a doubly-negative gain state are not
+// covered by the deficit cache.
+func (n *negotiation) scanCacheExact(f scanFilter) bool {
+	gA, gB := n.result.GainA, n.result.GainB
+	switch f {
+	case filterDeficitA:
+		return n.cfg.Accept != VetoIfLoss && gB >= 0
+	case filterDeficitB:
+		return n.cfg.Accept != VetoIfLoss && gA >= 0
 	}
-	return n.scanMaxSumRef(proposer, own, other, filter)
+	if gA < 0 || gB < 0 {
+		return false
+	}
+	return n.cfg.Accept != VetoIfLoss || (gA >= n.cfg.PrefBound && gB >= n.cfg.PrefBound)
 }
 
 // scanMaxSumFast evaluates each candidate from its scanEntry: an O(1)
-// lookup of the cached strict-set best plus a walk of the (typically
-// empty) sum-zero list against the current gains, instead of an
-// O(numAlts) pass over both preference tables. Selection rule and
+// lookup of the cached strict-set best for filter f plus a walk of the
+// (typically empty) sum-zero list against the current gains, instead of
+// an O(numAlts) pass over both preference tables. Selection rule and
 // tie-breaks replicate the reference loop exactly; see scanEntry for the
 // argument.
-func (n *negotiation) scanMaxSumFast(proposer Side) (id, alt int, ok bool) {
+func (n *negotiation) scanMaxSumFast(proposer Side, f scanFilter) (id, alt int, ok bool) {
 	id, alt = -1, -1
 	bestSum, bestOwn := -1<<30, -1<<30
 	ga, gb := n.result.GainA, n.result.GainB
@@ -300,9 +313,10 @@ func (n *negotiation) scanMaxSumFast(proposer Side) (id, alt int, ok bool) {
 		if !e.ok {
 			e = n.buildScanEntry(cand)
 		}
-		cOK, cs, cOwn, ck := e.strictOK, e.strictS, e.ownA, e.kA
+		b := &e.strict[f]
+		cOK, cs, cOwn, ck := b.ok, b.sum, b.ownA, b.kA
 		if proposer == SideB {
-			cOwn, ck = e.ownB, e.kB
+			cOwn, ck = b.ownB, b.kB
 		}
 		// Sum-zero candidates only matter while the strict best is not
 		// strictly positive. With prefA + prefB == 0 the both-gains-stay-
@@ -335,116 +349,14 @@ func (n *negotiation) scanMaxSumFast(proposer Side) (id, alt int, ok bool) {
 	return id, alt, id >= 0
 }
 
-// scanMaxSumDeficit is the recovery pass of propose: the max-sum scan
-// restricted to candidates the deficit side (dside, whose cumulative
-// gain is negative) strictly gains on. It dispatches to a cached fast
-// path when that is exact:
-//
-//   - the filter p_deficit > 0 plus the invariant that the deficit
-//     side's gain never fell below its own bound make the StopEarly
-//     affordability check vacuous for the deficit side;
-//   - the OTHER side's bound is vacuous whenever its gain is
-//     non-negative (clamped preferences cannot dip it past -P);
-//   - sum-zero candidates are admitted by the same gain window as the
-//     unfiltered scan, and with the deficit gain negative that window
-//     already forces the deficit side's preference positive — so the
-//     shared zero list applies unchanged.
-//
-// VetoIfLoss self-censoring and a doubly-negative gain state are not
-// covered by the cache; those run the reference loop.
-func (n *negotiation) scanMaxSumDeficit(proposer Side, own, other [][]int, dside Side) (id, alt int, ok bool) {
-	deficit := n.prefsA
-	otherGain := n.result.GainB
-	if dside == SideB {
-		deficit = n.prefsB
-		otherGain = n.result.GainA
-	}
-	if n.cfg.Accept == VetoIfLoss || otherGain < 0 {
-		return n.scanMaxSumRef(proposer, own, other, func(cand, k int) bool {
-			return deficit[cand][k] > 0
-		})
-	}
-	id, alt, ok = n.scanMaxSumDeficitFast(proposer, dside)
-	if debugScanChecks {
-		wantID, wantAlt, wantOK := n.scanMaxSumRef(proposer, own, other, func(cand, k int) bool {
-			return deficit[cand][k] > 0
-		})
-		if id != wantID || alt != wantAlt || ok != wantOK {
-			panic(fmt.Sprintf("nexit: scanMaxSumDeficit mismatch: fast (%d,%d,%v) ref (%d,%d,%v)",
-				id, alt, ok, wantID, wantAlt, wantOK))
-		}
-	}
-	return id, alt, ok
-}
-
-// scanMaxSumDeficitFast is scanMaxSumFast for the deficit-filtered scan,
-// reading the dA/dB strict tuples of the cache instead of the unfiltered
-// ones.
-func (n *negotiation) scanMaxSumDeficitFast(proposer Side, dside Side) (id, alt int, ok bool) {
-	id, alt = -1, -1
-	bestSum, bestOwn := -1<<30, -1<<30
-	ga, gb := n.result.GainA, n.result.GainB
-	for _, cand := range n.order {
-		if id >= 0 {
-			if _, s := n.bestAlt(cand); s < bestSum {
-				break
-			}
-		}
-		e := &n.scanCache[cand]
-		if !e.ok {
-			e = n.buildScanEntry(cand)
-		}
-		var (
-			cOK      bool
-			cs, cOwn int
-			ck       int32
-		)
-		if dside == SideA {
-			cOK, cs, cOwn, ck = e.dAOK, e.dAS, e.dAOwnA, e.dAKA
-			if proposer == SideB {
-				cOwn, ck = e.dAOwnB, e.dAKB
-			}
-		} else {
-			cOK, cs, cOwn, ck = e.dBOK, e.dBS, e.dBOwnA, e.dBKA
-			if proposer == SideB {
-				cOwn, ck = e.dBOwnB, e.dBKB
-			}
-		}
-		if e.zeroLen > 0 && cs <= 0 {
-			zo := cand * n.numAlts
-			for i := 0; i < int(e.zeroLen); i++ {
-				pa := int(n.zeroPaBuf[zo+i])
-				if pa < -ga || pa > gb {
-					continue
-				}
-				zOwn, zk := pa, n.zeroKBuf[zo+i]
-				if proposer == SideB {
-					zOwn = -pa
-				}
-				switch {
-				case !cOK || cs < 0:
-					cOK, cs, cOwn, ck = true, 0, zOwn, zk
-				case zOwn > cOwn || (zOwn == cOwn && zk < ck):
-					cOwn, ck = zOwn, zk
-				}
-			}
-		}
-		if cOK && (cs > bestSum || (cs == bestSum && cOwn > bestOwn)) {
-			bestSum, bestOwn, id, alt = cs, cOwn, cand, int(ck)
-		}
-	}
-	return id, alt, id >= 0
-}
-
 // scanMaxSumRef is the direct scan over the preference tables — the
-// reference semantics for scanMaxSumFast and the fallback for filtered
-// scans and uncommon gain regimes. The affordability conditions (see
+// reference semantics for scanMaxSumFast and the fallback for the gain
+// regimes the cache does not cover. The affordability conditions (see
 // affordable) are inlined with their gain- and config-derived bounds
 // hoisted out of the loop; the per-candidate preference rows are loaded
 // once. Check order within an iteration is immaterial — every clause is
-// a pure filter — so this computes exactly what the method-call form
-// did, just without re-deriving invariants per (candidate, alternative).
-func (n *negotiation) scanMaxSumRef(proposer Side, own, other [][]int, filter func(cand, k int) bool) (id, alt int, ok bool) {
+// a pure filter.
+func (n *negotiation) scanMaxSumRef(proposer Side, f scanFilter) (id, alt int, ok bool) {
 	// The order slice is sorted by best combined gain; once a candidate
 	// group can no longer match the best affordable sum found, stop
 	// scanning.
@@ -455,6 +367,10 @@ func (n *negotiation) scanMaxSumRef(proposer Side, own, other [][]int, filter fu
 	boundA := -n.cfg.PrefBound - n.cfg.ExtraDeficitA
 	boundB := -n.cfg.PrefBound - n.cfg.ExtraDeficitB
 	vetoIfLoss := n.cfg.Accept == VetoIfLoss
+	own := n.prefsA
+	if proposer == SideB {
+		own = n.prefsB
+	}
 	for _, cand := range n.order {
 		if id >= 0 {
 			if _, s := n.bestAlt(cand); s < bestSum {
@@ -481,7 +397,7 @@ func (n *negotiation) scanMaxSumRef(proposer Side, own, other [][]int, filter fu
 					continue
 				}
 			}
-			if filter != nil && !filter(cand, k) {
+			if (f == filterDeficitA && pak <= 0) || (f == filterDeficitB && pbk <= 0) {
 				continue
 			}
 			s := pak + pbk
@@ -506,25 +422,24 @@ func (n *negotiation) scanMaxSumRef(proposer Side, own, other [][]int, filter fu
 	return id, alt, id >= 0
 }
 
-// accept applies the accept policy for the given acceptor.
-func (n *negotiation) accept(acceptor Side, id, alt int) bool {
-	if n.cfg.AcceptHook != nil {
-		return n.cfg.AcceptHook(acceptor, Proposal{
-			Round: n.result.Rounds, ItemID: id, Alt: alt,
-			Proposer: acceptor.Other(),
-			PrefA:    n.prefsA[id][alt], PrefB: n.prefsB[id][alt],
-		})
-	}
+// acceptLocal is the in-process acceptor: it applies the accept policy
+// to each planned proposal in order and returns how many leading ones
+// pass. Proposal i is judged at the gains its round would see — the
+// batch-start gains plus the classes of proposals 0..i-1, all accepted
+// by then.
+func (n *negotiation) acceptLocal(batch []Proposal) int {
 	if n.cfg.Accept == AlwaysAccept {
-		return true
+		return len(batch)
 	}
-	// VetoIfLoss: reject if acceptance would push cumulative gain
-	// negative.
-	var pref, gain int
-	if acceptor == SideA {
-		pref, gain = n.prefsA[id][alt], n.result.GainA
-	} else {
-		pref, gain = n.prefsB[id][alt], n.result.GainB
+	// VetoIfLoss: the acceptor rejects a proposal that would push its
+	// cumulative gain negative.
+	gA, gB := n.result.GainA, n.result.GainB
+	for i, p := range batch {
+		if (p.Proposer == SideB && gA+p.PrefA < 0) || (p.Proposer == SideA && gB+p.PrefB < 0) {
+			return i
+		}
+		gA += p.PrefA
+		gB += p.PrefB
 	}
-	return gain+pref >= 0
+	return len(batch)
 }

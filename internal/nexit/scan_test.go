@@ -2,27 +2,24 @@ package nexit
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
-
-	"repro/internal/traffic"
 )
 
-// TestScanFastMatchesReference drives the engine across randomized
-// preference tables and every policy combination with debugScanChecks
-// enabled, so every propose scan cross-checks the cached fast path
-// against the direct reference loop and every stop check cross-checks
-// the histogram against the O(items) scan. Any divergence panics inside
-// the engine, failing the test.
+// TestScanFastMatchesReference drives Negotiate across randomized
+// preference tables and every policy combination, then replays each
+// transcript's accept decisions through the oracle loop, which
+// cross-checks every propose against the reference scan and every stop
+// check against the O(items) histogram reference. Any divergence — in a
+// round, or between the engine's and the oracle's results — fails the
+// test.
 //
 // The trials deliberately cover the regimes the cache must survive:
-// vetoes (via AcceptHook and VetoIfLoss), batched planning with partial
-// accepts, preference reassignment, extra deficit allowances, and
-// preference tables whose default class is nonzero (the engine clamps
-// but does not normalize evaluator output).
+// vetoes (via BatchAcceptHook and VetoIfLoss), batched planning with
+// partial accepts, preference reassignment, extra deficit allowances,
+// and preference tables whose default class is nonzero (the engine
+// clamps but does not normalize evaluator output).
 func TestScanFastMatchesReference(t *testing.T) {
-	debugScanChecks = true
-	defer func() { debugScanChecks = false }()
-
 	turns := []TurnPolicy{Alternate, LowerGain, CoinToss}
 	proposes := []ProposePolicy{MaxSum, BestLocal}
 	accepts := []AcceptPolicy{AlwaysAccept, VetoIfLoss}
@@ -35,26 +32,18 @@ func TestScanFastMatchesReference(t *testing.T) {
 		if trial%3 == 0 {
 			p = 3
 		}
-		mk := func() *StaticEvaluator {
-			ev := &StaticEvaluator{NumAlts: na, Table: map[int][]int{}}
-			for i := 0; i < n; i++ {
-				prefs := make([]int, na)
-				for k := range prefs {
-					prefs[k] = rng.Intn(2*p+1) - p
-				}
-				if trial%5 != 0 {
-					prefs[i%na] = 0 // honest default; every 5th trial leaves it random
-				}
-				ev.Table[i] = prefs
-			}
-			return ev
+		// A third of the trials skew the tables against one side so its
+		// cumulative gain dips negative and the deficit-recovery scans
+		// run (residues 0 and 1 are the max-sum, early-stop trials).
+		// Every 5th trial leaves the default's class random.
+		biasA, biasB := 0, 0
+		switch trial % 12 {
+		case 0, 6:
+			biasA, biasB = p/2+1, -p/2-1
+		case 1, 7:
+			biasA, biasB = -p/2-1, p/2+1
 		}
-		items := make([]Item, n)
-		defaults := make([]int, n)
-		for i := 0; i < n; i++ {
-			items[i] = Item{ID: i, Flow: traffic.Flow{ID: i, Size: 1 + rng.Float64()}, Dir: Direction(i % 2)}
-			defaults[i] = i % na
-		}
+		tblA, tblB, items, defaults := randomUniverse(rng, n, na, p, trial%5 != 0, biasA, biasB)
 		cfg := Config{
 			PrefBound: p,
 			Turn:      turns[trial%len(turns)],
@@ -73,8 +62,13 @@ func TestScanFastMatchesReference(t *testing.T) {
 		switch trial % 7 {
 		case 2:
 			// Deterministic vetoes exercise scanCache invalidation.
-			cfg.AcceptHook = func(acceptor Side, pr Proposal) bool {
-				return (pr.ItemID+pr.Alt)%3 != 0
+			cfg.BatchAcceptHook = func(batch []Proposal) int {
+				for i, pr := range batch {
+					if (pr.ItemID+pr.Alt)%3 == 0 {
+						return i
+					}
+				}
+				return len(batch)
 			}
 		case 3:
 			// Random accepted prefixes exercise planBatch's simulated
@@ -84,7 +78,8 @@ func TestScanFastMatchesReference(t *testing.T) {
 				return hookRng.Intn(len(batch) + 1)
 			}
 		}
-		res, err := Negotiate(cfg, mk(), mk(), items, defaults, na)
+		ev := func(tbl map[int][]int) *StaticEvaluator { return &StaticEvaluator{NumAlts: na, Table: tbl} }
+		res, err := Negotiate(cfg, ev(tblA), ev(tblB), items, defaults, na)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -95,6 +90,24 @@ func TestScanFastMatchesReference(t *testing.T) {
 		}
 		if res.Rounds > n*na*6+32 {
 			t.Fatalf("trial %d: %d rounds for %d items (runaway)", trial, res.Rounds, n)
+		}
+
+		replay := func(_ Side, pr Proposal) bool {
+			if pr.Round >= len(res.Transcript) {
+				t.Fatalf("trial %d: oracle reached round %d past the engine's %d", trial, pr.Round, len(res.Transcript))
+			}
+			rec := res.Transcript[pr.Round]
+			if pr.Accepted = rec.Accepted; pr != rec {
+				t.Fatalf("trial %d round %d: oracle proposed %+v, engine %+v", trial, pr.Round, pr, rec)
+			}
+			return rec.Accepted
+		}
+		if cfg.BatchAcceptHook == nil {
+			replay = nil // the oracle applies cfg.Accept itself
+		}
+		cfg.Rng = rand.New(rand.NewSource(int64(trial)))
+		if want := negotiateOracle(t, cfg, ev(tblA), ev(tblB), items, defaults, na, replay); !reflect.DeepEqual(want, res) {
+			t.Fatalf("trial %d: engine diverged from the oracle\noracle: %+v\nengine: %+v", trial, want, res)
 		}
 	}
 }

@@ -7,12 +7,15 @@ import (
 	"testing"
 )
 
-// writeFrames serializes the given (type, payload) frames back to back
-// the way a session would see them on the wire.
-func writeFrames(t *testing.T, frames ...struct {
+// rawFrame is one frame's type and payload.
+type rawFrame struct {
 	typ     MsgType
 	payload []byte
-}) *bytes.Buffer {
+}
+
+// writeFrames serializes the given frames back to back the way a session
+// would see them on the wire.
+func writeFrames(t testing.TB, frames ...rawFrame) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	fw := frameWriter{w: &buf}
@@ -34,18 +37,12 @@ func TestReadFrameIntoReuse(t *testing.T) {
 		big[i] = byte(i)
 	}
 	buf := writeFrames(t,
-		struct {
-			typ     MsgType
-			payload []byte
-		}{MsgCommit, big},
-		struct {
-			typ     MsgType
-			payload []byte
-		}{MsgRevert, []byte{9, 9}},
+		rawFrame{MsgDone, big},
+		rawFrame{MsgRevert, []byte{9, 9}},
 	)
 
 	typ, body, scratch, err := readFrameInto(buf, nil)
-	if err != nil || typ != MsgCommit || !bytes.Equal(body, big) {
+	if err != nil || typ != MsgDone || !bytes.Equal(body, big) {
 		t.Fatalf("first frame = %v %v (%v)", typ, body, err)
 	}
 	first := &scratch[0]
@@ -83,18 +80,9 @@ func TestDecodedMessagesDoNotAliasScratch(t *testing.T) {
 		{Round: 2, ItemID: 5, Alt: 0, PrefInitiator: 7},
 	}}
 	buf := writeFrames(t,
-		struct {
-			typ     MsgType
-			payload []byte
-		}{MsgHello, encodeHello(hello)},
-		struct {
-			typ     MsgType
-			payload []byte
-		}{MsgPrefsResponse, encodePrefsResponse(prefs)},
-		struct {
-			typ     MsgType
-			payload []byte
-		}{MsgProposeBatch, appendProposeBatch(nil, batch)},
+		rawFrame{MsgHello, appendHello(nil, hello)},
+		rawFrame{MsgPrefsResponse, appendPrefsResponse(nil, prefs)},
+		rawFrame{MsgProposeBatch, appendProposeBatch(nil, batch)},
 	)
 
 	var scratch []byte
@@ -143,7 +131,7 @@ func TestDecodedMessagesDoNotAliasScratch(t *testing.T) {
 	}
 }
 
-// TestProposeBatchRoundtrip covers the v4 batched frames: an
+// TestProposeBatchRoundtrip covers the batched proposal frames: an
 // encode/decode identity for ProposeBatch and BatchAccept, and the
 // decoder's labelled guard against a header claiming more proposals
 // than the payload carries.

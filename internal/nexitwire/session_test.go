@@ -2,6 +2,7 @@ package nexitwire
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -35,7 +36,7 @@ func TestWireStalledPeerTimeout(t *testing.T) {
 			return
 		}
 		fw := frameWriter{w: connB}
-		if err := fw.writeFrame(MsgHelloAck, encodeHello(hello)); err != nil {
+		if err := fw.writeFrame(MsgHelloAck, appendHello(nil, hello)); err != nil {
 			return
 		}
 		for {
@@ -98,7 +99,7 @@ func TestWireResponderStallTimeout(t *testing.T) {
 		NumAlts: uint16(numAlts), NumItems: uint32(len(items)),
 		WorkloadHash: WorkloadHash(items, defaults, numAlts),
 	}
-	if err := fw.writeFrame(MsgHello, encodeHello(hello)); err != nil {
+	if err := fw.writeFrame(MsgHello, appendHello(nil, hello)); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
@@ -200,5 +201,96 @@ func TestWireSessionReuse(t *testing.T) {
 	last := <-ch
 	if !errors.Is(last.err, io.EOF) {
 		t.Errorf("responder loop ended with %v, want io.EOF", last.err)
+	}
+}
+
+// TestWireRetiredFramesRejected sends the frame types v5 retired (5–7:
+// the per-proposal AcceptRequest, AcceptResponse and Commit) into a live
+// session from either side. The receiving endpoint must end the session
+// with a labelled "unexpected … frame" error, tell the peer with an
+// Error frame, and not hang.
+func TestWireRetiredFramesRejected(t *testing.T) {
+	s, items, defaults, numAlts := testUniverse(t)
+	for _, side := range []string{"responder", "initiator"} {
+		for typ := MsgType(5); typ <= 7; typ++ {
+			t.Run(fmt.Sprintf("%s/%d", side, typ), func(t *testing.T) {
+				connA, connB := net.Pipe()
+				defer connA.Close()
+				defer connB.Close()
+				// peer is the scripted endpoint; the real one runs in the
+				// background and reports its error.
+				peer, errCh := connA, make(chan error, 1)
+				if side == "responder" {
+					resp := &Responder{Name: "agent-b", Eval: nexit.NewDistanceEvaluator(s, nexit.SideB, 10),
+						Items: items, Defaults: defaults, NumAlts: numAlts, Timeout: 2 * time.Second}
+					go func() { _, err := resp.ServeConn(connB); errCh <- err }()
+				} else {
+					peer = connB
+					ini := &Initiator{Name: "agent-a", Cfg: nexit.DefaultDistanceConfig(),
+						Eval: nexit.NewDistanceEvaluator(s, nexit.SideA, 10), Timeout: 2 * time.Second}
+					go func() { _, err := ini.Run(connA, items, defaults, numAlts); errCh <- err }()
+				}
+				fw := frameWriter{w: peer}
+				exchange := func(typ MsgType, payload []byte) (MsgType, []byte) {
+					t.Helper()
+					if payload != nil {
+						if err := fw.writeFrame(typ, payload); err != nil {
+							t.Fatalf("send %v: %v", typ, err)
+						}
+					}
+					got, body, err := readFrame(peer)
+					if err != nil {
+						t.Fatalf("read: %v", err)
+					}
+					return got, body
+				}
+
+				if side == "responder" {
+					if got, _ := exchange(MsgHello, appendHello(nil, &Hello{Version: Version, Name: "agent-a", Metric: DefaultMetric,
+						NumAlts: uint16(numAlts), NumItems: uint32(len(items)), WorkloadHash: WorkloadHash(items, defaults, numAlts)},
+					)); got != MsgHelloAck {
+						t.Fatalf("hello answered with %v", got)
+					}
+				} else {
+					// Echo the Hello as the ack, disclose all-indifferent
+					// preferences, and wait for the first proposal batch.
+					got, body := exchange(0, nil)
+					for got != MsgProposeBatch {
+						reply := MsgHelloAck
+						switch got {
+						case MsgHello:
+						case MsgPrefsRequest:
+							req, err := decodePrefsRequest(body)
+							if err != nil {
+								t.Fatal(err)
+							}
+							resp := &PrefsResponse{Prefs: make([][]int8, len(req.ItemIDs))}
+							for i := range resp.Prefs {
+								resp.Prefs[i] = make([]int8, numAlts)
+							}
+							reply, body = MsgPrefsResponse, appendPrefsResponse(nil, resp)
+						default:
+							t.Fatalf("initiator sent %v before any proposal batch", got)
+						}
+						got, body = exchange(reply, body)
+					}
+				}
+
+				// The retired frame, with a Commit-shaped payload.
+				want := fmt.Sprintf("unexpected msg(%d) frame", typ)
+				got, body := exchange(typ, []byte{0, 0, 0, 1, 0, 1})
+				if em, err := decodeError(body); got != MsgError || err != nil || !strings.Contains(em.Reason, want) {
+					t.Errorf("retired frame answered with %v %q (%v), want an error frame naming %q", got, body, err, want)
+				}
+				select {
+				case err := <-errCh:
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("%s error %v, want %q", side, err, want)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s hung after a retired frame", side)
+				}
+			})
+		}
 	}
 }

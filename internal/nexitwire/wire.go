@@ -198,9 +198,8 @@ func (in *Initiator) RunConn(c *Conn, items []nexit.Item, defaults []int, numAlt
 		// The remote agent ratifies every proposal: when it is the
 		// acceptor this is the paper's veto; when the engine proposed on
 		// its behalf, ratification confirms the simulated turn. The whole
-		// planned run travels in one ProposeBatch frame; the responder
-		// commits the prefix it accepts, so the echoes of those commits
-		// from the engine are suppressed.
+		// planned run travels in one ProposeBatch frame, and the
+		// responder commits the prefix it accepts.
 		limit := len(batch)
 		if remote.err != nil {
 			// The session is already dead and the result will be
@@ -229,11 +228,7 @@ func (in *Initiator) RunConn(c *Conn, items []nexit.Item, defaults []int, numAlt
 			remote.err = err
 			return limit // dead session: wind down, result is discarded
 		}
-		remote.suppress += accepted
-		if accepted < limit {
-			return accepted
-		}
-		return limit
+		return accepted
 	}
 
 	res, err := nexit.Negotiate(cfg, in.Eval, remote, items, defaults, numAlts)
@@ -270,9 +265,6 @@ type remoteEvaluator struct {
 	own     nexit.Evaluator
 	numAlts int
 	err     error
-	// suppress counts engine commits already applied responder-side by
-	// a fused ProposeBatch, so they are not echoed as Commit frames.
-	suppress int
 	// scratch buffers reused across the session's wire calls. The rows
 	// returned by Prefs alias prefRows; that is safe because the engine
 	// clamps them into its own tables before the next call.
@@ -339,22 +331,10 @@ func (r *remoteEvaluator) Prefs(items []nexit.Item, defaults []int) [][]int {
 	return out
 }
 
-// Commit implements nexit.Evaluator. Commits the responder already
-// applied as part of an accepted batch are consumed silently; anything
-// else (none today, but the per-item frames remain in the protocol) is
-// forwarded.
-func (r *remoteEvaluator) Commit(it nexit.Item, alt int) {
-	if r.suppress > 0 {
-		r.suppress--
-		return
-	}
-	if r.err != nil {
-		return
-	}
-	if err := r.s.sendEnc(MsgCommit, appendCommit(r.s.enc[:0], &Commit{ItemID: uint32(it.ID), Alt: uint16(alt)})); err != nil {
-		r.err = err
-	}
-}
+// Commit implements nexit.Evaluator. It sends nothing: every commit
+// the engine makes is a proposal of a batch the responder has already
+// accepted and applied. Done's audit catches any desync.
+func (r *remoteEvaluator) Commit(nexit.Item, int) {}
 
 // Revert implements nexit.Reverter, forwarding terminal unwinds so the
 // responder's assignment view and gain accounting stay in sync.
@@ -403,9 +383,9 @@ func (r *remoteEvaluator) proposeBatch(batch []nexit.Proposal) (int, error) {
 	return int(resp.Accepted), nil
 }
 
-// Responder serves one side of a negotiation: it answers preference and
-// accept queries from its private evaluator and tracks the committed
-// assignment.
+// Responder serves one side of a negotiation: it answers preference
+// queries and proposal batches from its private evaluator and tracks the
+// committed assignment.
 type Responder struct {
 	Name string
 	// Metric names the negotiation objective this responder serves
@@ -484,7 +464,7 @@ func RejectConn(c *Conn, timeout time.Duration, reason string) error {
 
 // ServeConn handles one session and returns the final result. It
 // validates the Hello against the locally configured universe, then
-// serves preference, accept, and commit frames until Done. Like
+// serves preference, proposal-batch and revert frames until Done. Like
 // Initiator.Run, it may be called repeatedly on one connection: each
 // call consumes exactly one Hello...Done session.
 func (r *Responder) ServeConn(conn net.Conn) (*SessionResult, error) {
@@ -545,15 +525,6 @@ func (r *Responder) ServeSessionConn(c *Conn, hello *Hello) (*SessionResult, err
 	// row contributes nothing" accounting.
 	lastPrefs := make([]int, len(r.Items)*r.NumAlts)
 	lastSeen := make([]bool, len(r.Items))
-	// commit fuses the bookkeeping a Commit frame (or an accepted
-	// batched proposal) triggers.
-	commit := func(itemID, alt int) {
-		assign[itemID] = alt
-		if lastSeen[itemID] && alt < r.NumAlts {
-			gainB += lastPrefs[itemID*r.NumAlts+alt]
-		}
-		r.Eval.Commit(r.Items[itemID], alt)
-	}
 	// Per-request scratch, reused across the session's serve loop.
 	var (
 		items    []nexit.Item
@@ -614,51 +585,34 @@ func (r *Responder) ServeSessionConn(c *Conn, hello *Hello) (*SessionResult, err
 			if err := s.sendEnc(MsgPrefsResponse, appendPrefsResponse(s.enc[:0], &resp)); err != nil {
 				return nil, err
 			}
-		case MsgAcceptRequest:
-			req, err := decodeAcceptRequest(body)
-			if err != nil {
-				return nil, err
-			}
-			accepted := true
-			if r.Accept != nil {
-				accepted = r.Accept(*req)
-			}
-			if err := s.sendEnc(MsgAcceptResponse, appendAcceptResponse(s.enc[:0], &AcceptResponse{Accepted: accepted})); err != nil {
-				return nil, err
-			}
 		case MsgProposeBatch:
 			pb, err := decodeProposeBatch(body)
 			if err != nil {
 				return nil, err
 			}
-			// Decide the run in order, committing accepted proposals as
-			// an AcceptRequest + Commit would have, and stop at the
-			// first veto: the discarded tail was planned assuming the
-			// vetoed proposal stood, so it is void.
+			// Decide the run in order, committing accepted proposals,
+			// and stop at the first veto: the discarded tail was planned
+			// assuming the vetoed proposal stood, so it is void.
 			accepted := 0
 			for i := range pb.Proposals {
 				req := &pb.Proposals[i]
-				if int(req.ItemID) >= len(r.Items) || int(req.Alt) >= r.NumAlts {
+				id, alt := int(req.ItemID), int(req.Alt)
+				if id >= len(r.Items) || alt >= r.NumAlts {
 					return nil, s.abort(fmt.Errorf("nexitwire: batched proposal out of range"))
 				}
 				if r.Accept != nil && !r.Accept(*req) {
 					break
 				}
-				commit(int(req.ItemID), int(req.Alt))
+				assign[id] = alt
+				if lastSeen[id] {
+					gainB += lastPrefs[id*r.NumAlts+alt]
+				}
+				r.Eval.Commit(r.Items[id], alt)
 				accepted++
 			}
 			if err := s.sendEnc(MsgBatchAccept, appendBatchAccept(s.enc[:0], &BatchAccept{Accepted: uint32(accepted)})); err != nil {
 				return nil, err
 			}
-		case MsgCommit:
-			c, err := decodeCommit(body)
-			if err != nil {
-				return nil, err
-			}
-			if int(c.ItemID) >= len(r.Items) || int(c.Alt) >= r.NumAlts {
-				return nil, s.abort(fmt.Errorf("nexitwire: commit out of range"))
-			}
-			commit(int(c.ItemID), int(c.Alt))
 		case MsgRevert:
 			c, err := decodeRevert(body)
 			if err != nil {

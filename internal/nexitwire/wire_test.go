@@ -3,6 +3,7 @@ package nexitwire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -24,14 +25,14 @@ func TestFrameRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	fw := frameWriter{w: &buf}
 	payload := []byte{1, 2, 3, 4, 5}
-	if err := fw.writeFrame(MsgCommit, payload); err != nil {
+	if err := fw.writeFrame(MsgRevert, payload); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgCommit || !bytes.Equal(body, payload) {
+	if typ != MsgRevert || !bytes.Equal(body, payload) {
 		t.Errorf("roundtrip = %v %v", typ, body)
 	}
 }
@@ -66,7 +67,7 @@ func TestHelloRoundtrip(t *testing.T) {
 		{Version: 2, Name: "isp-a agent", NumAlts: 5, NumItems: 1234, WorkloadHash: 0xDEADBEEF12345678, Metric: "bandwidth"},
 		{Version: 3, Name: "isp-a agent", NumAlts: 5, NumItems: 1234, WorkloadHash: 0xDEADBEEF12345678, Metric: "distance", Epoch: 97},
 	} {
-		got, err := decodeHello(encodeHello(h))
+		got, err := decodeHello(appendHello(nil, h))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,10 +82,10 @@ func TestHelloRoundtrip(t *testing.T) {
 // check can reject it cleanly), while same-version trailing garbage is
 // a framing error.
 func TestHelloVersionCompat(t *testing.T) {
-	future := append(encodeHello(&Hello{
+	future := append(appendHello(nil, &Hello{
 		Version: Version + 1, Name: "isp-z", NumAlts: 3, NumItems: 9,
 		WorkloadHash: 42, Metric: "distance", Epoch: 7,
-	}), 0xAB, 0xCD) // a hypothetical v4 field we do not know
+	}), 0xAB, 0xCD) // a hypothetical newer-version field we do not know
 	h, err := decodeHello(future)
 	if err != nil {
 		t.Fatalf("newer-version hello with unknown fields did not decode: %v", err)
@@ -93,7 +94,7 @@ func TestHelloVersionCompat(t *testing.T) {
 		t.Errorf("decoded %+v from the future hello", h)
 	}
 
-	current := append(encodeHello(&Hello{Version: Version, Name: "isp-a", Metric: "distance"}), 0xAB)
+	current := append(appendHello(nil, &Hello{Version: Version, Name: "isp-a", Metric: "distance"}), 0xAB)
 	if _, err := decodeHello(current); err == nil {
 		t.Error("same-version hello with trailing bytes decoded")
 	}
@@ -213,59 +214,63 @@ func TestEpochSkewReasonRoundtrip(t *testing.T) {
 	}
 }
 
-// TestWireVersionMismatchRejected serves a v1 Hello to a current
-// responder and expects the labelled version rejection, not a decode
-// failure or a hung session.
+// TestWireVersionMismatchRejected serves Hellos of older versions — v1,
+// and v4, the version v5 replaced — to a current responder and expects
+// the labelled version rejection, not a decode failure or a hung
+// session.
 func TestWireVersionMismatchRejected(t *testing.T) {
 	s, items, defaults, numAlts := testUniverse(t)
-	connA, connB := net.Pipe()
-	defer connA.Close()
-	defer connB.Close()
+	for _, version := range []uint16{1, 4} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			connA, connB := net.Pipe()
+			defer connA.Close()
+			defer connB.Close()
+			resp := &Responder{
+				Name:     "agent-b",
+				Eval:     nexit.NewDistanceEvaluator(s, nexit.SideB, 10),
+				Items:    items,
+				Defaults: defaults,
+				NumAlts:  numAlts,
+				Timeout:  2 * time.Second,
+			}
+			errCh := make(chan error, 1)
+			go func() {
+				_, err := resp.ServeConn(connB)
+				errCh <- err
+			}()
 
-	resp := &Responder{
-		Name:     "agent-b",
-		Eval:     nexit.NewDistanceEvaluator(s, nexit.SideB, 10),
-		Items:    items,
-		Defaults: defaults,
-		NumAlts:  numAlts,
-		Timeout:  2 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := resp.ServeConn(connB)
-		errCh <- err
-	}()
-
-	fw := frameWriter{w: connA}
-	if err := fw.writeFrame(MsgHello, encodeHello(&Hello{
-		Version: 1, Name: "old-agent",
-		NumAlts: uint16(numAlts), NumItems: uint32(len(items)),
-		WorkloadHash: WorkloadHash(items, defaults, numAlts),
-	})); err != nil {
-		t.Fatal(err)
-	}
-	typ, body, err := readFrame(connA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != MsgError {
-		t.Fatalf("responder answered a v1 hello with %v, want error", typ)
-	}
-	em, err := decodeError(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(em.Reason, "version 1") {
-		t.Errorf("rejection reason does not name the version: %s", em.Reason)
-	}
-	if err := <-errCh; err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("responder error: %v", err)
+			fw := frameWriter{w: connA}
+			if err := fw.writeFrame(MsgHello, appendHello(nil, &Hello{
+				Version: version, Name: "old-agent", Metric: DefaultMetric,
+				NumAlts: uint16(numAlts), NumItems: uint32(len(items)),
+				WorkloadHash: WorkloadHash(items, defaults, numAlts),
+			})); err != nil {
+				t.Fatal(err)
+			}
+			typ, body, err := readFrame(connA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ != MsgError {
+				t.Fatalf("responder answered a v%d hello with %v, want error", version, typ)
+			}
+			em, err := decodeError(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("version %d", version); !strings.Contains(em.Reason, want) {
+				t.Errorf("rejection reason does not name %s: %s", want, em.Reason)
+			}
+			if err := <-errCh; err == nil || !strings.Contains(err.Error(), "version") {
+				t.Errorf("v%d responder error: %v", version, err)
+			}
+		})
 	}
 }
 
 func TestPrefsRoundtrip(t *testing.T) {
 	req := &PrefsRequest{ItemIDs: []uint32{3, 9, 12}, Defaults: []uint16{0, 2, 1}}
-	gotReq, err := decodePrefsRequest(encodePrefsRequest(req))
+	gotReq, err := decodePrefsRequest(appendPrefsRequest(nil, req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +278,7 @@ func TestPrefsRoundtrip(t *testing.T) {
 		t.Errorf("request roundtrip: %+v", gotReq)
 	}
 	resp := &PrefsResponse{Prefs: [][]int8{{0, -3, 10}, {5, 0, -10}, {1, 2, 3}}}
-	gotResp, err := decodePrefsResponse(encodePrefsResponse(resp))
+	gotResp, err := decodePrefsResponse(appendPrefsResponse(nil, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +298,7 @@ func TestPrefsResponseProperty(t *testing.T) {
 			rows = append(rows, row)
 		}
 		m := &PrefsResponse{Prefs: rows}
-		got, err := decodePrefsResponse(encodePrefsResponse(m))
+		got, err := decodePrefsResponse(appendPrefsResponse(nil, m))
 		if err != nil {
 			return false
 		}
@@ -313,26 +318,16 @@ func TestPrefsResponseProperty(t *testing.T) {
 }
 
 func TestOtherMessageRoundtrips(t *testing.T) {
-	ar := &AcceptRequest{Round: 7, ItemID: 42, Alt: 3, PrefInitiator: -9}
-	if got, err := decodeAcceptRequest(encodeAcceptRequest(ar)); err != nil || !reflect.DeepEqual(ar, got) {
-		t.Errorf("accept request: %+v %v", got, err)
-	}
-	for _, accepted := range []bool{true, false} {
-		resp := &AcceptResponse{Accepted: accepted}
-		if got, err := decodeAcceptResponse(encodeAcceptResponse(resp)); err != nil || got.Accepted != accepted {
-			t.Errorf("accept response: %+v %v", got, err)
-		}
-	}
-	c := &Commit{ItemID: 9, Alt: 2}
-	if got, err := decodeCommit(encodeCommit(c)); err != nil || !reflect.DeepEqual(c, got) {
-		t.Errorf("commit: %+v %v", got, err)
+	rv := &Revert{ItemID: 9, Alt: 2, Def: 1}
+	if got, err := decodeRevert(appendRevert(nil, rv)); err != nil || !reflect.DeepEqual(rv, got) {
+		t.Errorf("revert: %+v %v", got, err)
 	}
 	d := &Done{Assign: []uint16{0, 1, 2}, GainA: -5, GainB: 12, StopReason: 2, Rounds: 99}
-	if got, err := decodeDone(encodeDone(d)); err != nil || !reflect.DeepEqual(d, got) {
+	if got, err := decodeDone(appendDone(nil, d)); err != nil || !reflect.DeepEqual(d, got) {
 		t.Errorf("done: %+v %v", got, err)
 	}
 	e := &ErrorMsg{Reason: "mismatch"}
-	if got, err := decodeError(encodeError(e)); err != nil || got.Reason != "mismatch" {
+	if got, err := decodeError(appendError(nil, e)); err != nil || got.Reason != "mismatch" {
 		t.Errorf("error: %+v %v", got, err)
 	}
 }
@@ -347,8 +342,11 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := decodePrefsResponse([]byte{0, 0, 1, 0, 0, 8}); err == nil {
 		t.Error("lying prefs response accepted")
 	}
-	if _, err := decodeCommit([]byte{1, 2, 3, 4, 5, 6, 7}); err == nil {
-		t.Error("commit with trailing bytes accepted")
+	if _, err := decodePrefsResponse([]byte{0, 0, 0, 0, 0, 3}); err == nil {
+		t.Error("empty prefs response with columns accepted")
+	}
+	if _, err := decodeRevert([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}); err == nil {
+		t.Error("revert with trailing bytes accepted")
 	}
 }
 
