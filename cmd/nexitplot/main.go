@@ -3,11 +3,13 @@
 // and watches a running mesh live.
 //
 // Fold mode (the default) reads NDJSON from the named files (or stdin
-// when none are given), folds every record through constant-memory
-// online CDFs, and prints the figure sections for the experiments the
-// input carries — byte-identical to `nexitsim` figure mode for the
-// same run while the per-curve digests are uncompacted. Passing
-// several files merges shards of one run: the fold is
+// when none are given), folds every record through the same plot.Fold
+// that renders `nexitsim` figure mode, and prints every section the
+// input supports, in `-fig all` order, then the merged summary lines.
+// Its digests hold at most stats.DefaultSketchCap points per curve, so
+// memory stays constant however long the stream; past that many samples
+// a curve's summary line is an estimate, where nexitsim's is exact.
+// Passing several files merges shards of one run: the fold is
 // order-independent, so
 //
 //	nexitsim -stream -out full.ndjson
@@ -36,11 +38,12 @@ import (
 	"repro/internal/agentd"
 	"repro/internal/mesh"
 	"repro/internal/plot"
+	"repro/internal/stats"
 )
 
 func main() {
 	var (
-		points   = flag.Int("points", 16, "points per CDF series (match nexitsim -points)")
+		points   = flag.Int("points", 16, "points per CDF series, at least 2 (match nexitsim -points)")
 		watch    = flag.String("watch", "", "comma-separated agentd debug addresses to poll instead of folding NDJSON")
 		interval = flag.Duration("interval", 2*time.Second, "watch poll interval")
 		polls    = flag.Int("polls", 0, "stop watching after N polls (0 = until interrupted)")
@@ -57,7 +60,10 @@ func main() {
 		return
 	}
 
-	fold := plot.NewFold(*points)
+	if err := plot.CheckFlags("all", *points); err != nil {
+		fatal(err)
+	}
+	fold := plot.NewFold(*points, stats.DefaultSketchCap)
 	if flag.NArg() == 0 {
 		if err := fold.ReadLines(os.Stdin); err != nil {
 			fatal(fmt.Errorf("stdin: %w", err))
@@ -77,7 +83,7 @@ func main() {
 	if fold.Unknown > 0 {
 		fmt.Fprintf(os.Stderr, "nexitplot: skipped %d records of unknown experiments\n", fold.Unknown)
 	}
-	if err := fold.Render(os.Stdout); err != nil {
+	if err := fold.Render(os.Stdout, "all"); err != nil {
 		fatal(err)
 	}
 }

@@ -12,17 +12,20 @@
 //
 // Each printed block corresponds to one figure panel of the paper; the
 // x-grid matches the paper's axes. EXPERIMENTS.md records a full run.
+// Figure mode folds the experiments' records into a plot.Fold that
+// keeps every sample and renders it: internal/plot owns the layout,
+// and cmd/nexitplot renders the same sections from a stream.
 //
 // With -stream (or -out), nexitsim switches to the streaming pipeline
-// (DESIGN.md §8): per-pair / per-failure-case results are emitted
-// incrementally as NDJSON — one {"experiment","index","data"} object
-// per line, in deterministic pair order, followed by one summary line
-// per experiment computed with the constant-memory accumulators in
-// internal/stats. Nothing is buffered, so arbitrarily large datasets
-// run in O(workers) memory. One batch-only exception: the §5
-// preference-range ablation (part of figure-mode -fig extras) is a
-// derived sweep of full experiment re-runs, not a per-pair stream, and
-// has no streaming form.
+// (DESIGN.md §8): the same experiments run through the same loop, but
+// their per-pair / per-failure-case results are emitted incrementally
+// as NDJSON — one {"experiment","index","data"} object per line, in
+// deterministic pair order, followed by one summary line per experiment
+// computed with the constant-memory accumulators in internal/stats.
+// Nothing is buffered, so arbitrarily large datasets run in O(workers)
+// memory. One figure-mode-only exception: the §5 preference-range
+// ablation (part of -fig extras) is a derived sweep of full experiment
+// re-runs, not a per-pair stream, and has no streaming form.
 package main
 
 import (
@@ -31,77 +34,83 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 
 	"repro/internal/experiments"
 	"repro/internal/gen"
+	"repro/internal/plot"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
 func main() {
-	var (
-		fig         = flag.String("fig", "all", "figure to reproduce: all, 4, 5, 6, 7, 8, 9, 10, 11, extras")
-		maxPairs    = flag.Int("max-pairs", 0, "limit ISP pairs (0 = all)")
-		maxFailures = flag.Int("max-failures", 0, "limit bandwidth failure cases (0 = all)")
-		seed        = flag.Int64("seed", 1, "experiment seed")
-		points      = flag.Int("points", 16, "points per CDF series")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0),
-			"goroutines evaluating ISP pairs (results are identical for any value)")
-		dataset   = flag.String("dataset", "", "load .topo dataset instead of generating")
-		isps      = flag.Int("isps", 0, "generate a dataset of N ISPs instead of the default 65")
-		inventory = flag.Bool("inventory", false, "print dataset inventory and exit")
-		stream    = flag.Bool("stream", false, "emit per-pair results incrementally as NDJSON instead of figure tables")
-		out       = flag.String("out", "", "write streaming NDJSON to FILE (implies -stream; default stdout)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to FILE")
-		memprof   = flag.String("memprofile", "", "write a heap profile to FILE at exit")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fatal(err)
+	}
+}
 
+// run parses the command line and writes figure tables (or, with
+// -stream, NDJSON to stdout) to stdout.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("nexitsim", flag.ExitOnError)
+	var (
+		fig         = fs.String("fig", "all", "figure to reproduce: all, 4, 5, 6, 7, 8, 9, 10, 11, extras")
+		maxPairs    = fs.Int("max-pairs", 0, "limit ISP pairs (0 = all)")
+		maxFailures = fs.Int("max-failures", 0, "limit bandwidth failure cases (0 = all)")
+		seed        = fs.Int64("seed", 1, "experiment seed")
+		points      = fs.Int("points", 16, "points per CDF series (at least 2)")
+		workers     = fs.Int("workers", runtime.GOMAXPROCS(0),
+			"goroutines evaluating ISP pairs (results are identical for any value)")
+		dataset   = fs.String("dataset", "", "load .topo dataset instead of generating")
+		isps      = fs.Int("isps", 0, "generate a dataset of N ISPs instead of the default 65")
+		inventory = fs.Bool("inventory", false, "print dataset inventory and exit")
+		stream    = fs.Bool("stream", false, "emit per-pair results incrementally as NDJSON instead of figure tables")
+		out       = fs.String("out", "", "write streaming NDJSON to FILE (implies -stream; default stdout)")
+		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile to FILE")
+		memprof   = fs.String("memprofile", "", "write a heap profile to FILE at exit")
+	)
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 with usage
+	if err := plot.CheckFlags(*fig, *points); err != nil {
+		return err
+	}
+
+	// Profiles cover every normal return, including the early -stream
+	// and -inventory ones.
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			f.Close()
+			return err
 		}
-		// Profiles cover the normal exit paths (including the early
-		// -stream/-inventory returns); fatal() skips defers by design.
 		defer func() {
 			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fatal(err)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
 		}()
 	}
 	if *memprof != "" {
 		defer func() {
-			f, err := os.Create(*memprof)
-			if err != nil {
-				fatal(err)
-			}
-			runtime.GC() // report live objects, not GC-collectible garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
+			if perr := writeHeapProfile(*memprof); err == nil {
+				err = perr
 			}
 		}()
 	}
 
 	ds, err := loadDataset(*dataset, *isps, *workers)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *inventory {
-		fmt.Print(ds.Inventory())
-		return
+		_, err := io.WriteString(stdout, ds.Inventory())
+		return err
 	}
 	// Shard the cold start (per-ISP Dijkstra) across the worker pool
 	// before any experiment asks for a routing table. Only for
@@ -121,274 +130,51 @@ func main() {
 		MaxFailures: *maxFailures,
 	}
 
-	if *stream || *out != "" {
-		w := io.Writer(os.Stdout)
-		if *out != "" {
-			f, err := os.Create(*out)
+	if !*stream && *out == "" {
+		// Figure mode: the experiment loop feeding a fold that keeps
+		// every sample (exact summary lines), plus the ablation sweep.
+		fold := plot.NewFold(*points, math.MaxInt)
+		err := runExperiments(ds, *fig, opt, bopt,
+			func(_ string, _ int, r any) error { return fold.AddRecord(r) },
+			func(exp string, _ int, _ map[string]*stats.Digest) error { fold.Ran(exp); return nil })
+		if err != nil {
+			return err
+		}
+		if plot.Needs(*fig, "ablation") {
+			abl, err := experiments.PreferenceRangeAblation(ds, opt, plot.AblationBounds)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			defer func() {
-				if err := f.Close(); err != nil {
-					fatal(err)
-				}
-			}()
-			w = f
+			fold.SetAblation(abl)
 		}
-		if err := runStreaming(w, ds, *fig, opt, bopt); err != nil {
-			fatal(err)
-		}
-		return
+		return fold.Render(stdout, *fig)
 	}
 
-	needDistance := has(*fig, "all", "4", "5", "6", "extras")
-	needBandwidth := has(*fig, "all", "7", "8", "9", "11")
-	needCheatDist := has(*fig, "all", "10")
-
-	var dres *experiments.DistanceResult
-	var bres *experiments.BandwidthResult
-	var cres *experiments.DistanceCheatResult
-
-	if needDistance {
-		if dres, err = experiments.Distance(ds, opt); err != nil {
-			fatal(err)
+	w := stdout
+	if *out != "" {
+		f, err := os.Create(*out)
+		if err != nil {
+			return err
 		}
-	}
-	if needBandwidth {
-		if bres, err = experiments.Bandwidth(ds, bopt); err != nil {
-			fatal(err)
-		}
-	}
-	if needCheatDist {
-		if cres, err = experiments.DistanceCheat(ds, opt); err != nil {
-			fatal(err)
-		}
-	}
-
-	n := *points
-	if has(*fig, "all", "4") {
-		section("Figure 4a — distance: total gain over default routing (CDF of ISP pairs)")
-		fmt.Printf("pairs: %d\n", dres.Pairs)
-		printSeries("% gain", 0, 15, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(dres.PairGainNeg),
-			"optimal":    stats.NewCDF(dres.PairGainOpt),
-		}, []string{"negotiated", "optimal"})
-
-		section("Figure 4b — distance: individual ISP gain (CDF of ISPs)")
-		printSeries("% gain", -20, 40, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(dres.IndGainNeg),
-			"optimal":    stats.NewCDF(dres.IndGainOpt),
-		}, []string{"negotiated", "optimal"})
-		losers := 0
-		for _, g := range dres.IndGainOpt {
-			if g < 0 {
-				losers++
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-		}
-		fmt.Printf("ISPs losing under global optimum: %d/%d (paper: roughly a third)\n",
-			losers, len(dres.IndGainOpt))
+		}()
+		w = f
 	}
-	if has(*fig, "all", "5") {
-		section("Figure 5 — flow-local strategies: total gain (CDF of ISP pairs)")
-		printSeries("% gain", 0, 15, n, map[string]*stats.CDF{
-			"flow-both-better": stats.NewCDF(dres.PairGainBothBetter),
-			"flow-Pareto":      stats.NewCDF(dres.PairGainPareto),
-		}, []string{"flow-both-better", "flow-Pareto"})
-	}
-	if has(*fig, "all", "6") {
-		section("Figure 6 — distance: per-flow gain (CDF of flows, all pairs pooled)")
-		printSeries("% gain", 0, 60, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(dres.FlowGainNeg),
-			"optimal":    stats.NewCDF(dres.FlowGainOpt),
-		}, []string{"negotiated", "optimal"})
-		neg := stats.NewCDF(dres.FlowGainNeg)
-		fmt.Printf("flows gaining >20%%: %.1f%%   >50%%: %.1f%% (paper: 7%% and 1%%)\n",
-			100*neg.FractionAbove(20), 100*neg.FractionAbove(50))
-	}
-	if has(*fig, "all", "7") {
-		section("Figure 7 — bandwidth: MEL relative to optimal after a failure (CDF of failure cases)")
-		fmt.Printf("failure cases: %d\n", bres.FailureCases)
-		fmt.Println("upstream ISP:")
-		printSeries("load ratio", 0, 6, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(bres.UpNeg),
-			"default":    stats.NewCDF(bres.UpDef),
-		}, []string{"negotiated", "default"})
-		fmt.Println("downstream ISP:")
-		printSeries("load ratio", 0, 6, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(bres.DownNeg),
-			"default":    stats.NewCDF(bres.DownDef),
-		}, []string{"negotiated", "default"})
-	}
-	if has(*fig, "all", "8") {
-		section("Figure 8 — unilateral upstream optimization: downstream MEL vs default (CDF)")
-		printSeries("load ratio", 1, 6, n, map[string]*stats.CDF{
-			"upstream-optimized": stats.NewCDF(bres.UnilateralDownRatio),
-		}, []string{"upstream-optimized"})
-		hurt := stats.NewCDF(bres.UnilateralDownRatio).FractionAbove(2)
-		fmt.Printf("cases where downstream MEL more than doubles: %.1f%% (paper: ~10%%)\n", 100*hurt)
-	}
-	if has(*fig, "all", "9") {
-		section("Figure 9 — diverse criteria: upstream bandwidth vs downstream distance")
-		fmt.Println("upstream ISP (MEL ratio to optimal):")
-		printSeries("load ratio", 0, 6, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(bres.DiverseUpNeg),
-			"default":    stats.NewCDF(bres.DiverseUpDef),
-		}, []string{"negotiated", "default"})
-		fmt.Println("downstream ISP (distance gain over default):")
-		printSeries("% gain", 0, 80, n, map[string]*stats.CDF{
-			"negotiated": stats.NewCDF(bres.DiverseDownGain),
-		}, []string{"negotiated"})
-	}
-	if has(*fig, "all", "10") {
-		section("Figure 10a — cheating (distance): total gain (CDF of ISP pairs)")
-		fmt.Printf("pairs: %d\n", cres.Pairs)
-		printSeries("% gain", 0, 15, n, map[string]*stats.CDF{
-			"both truthful": stats.NewCDF(cres.TotalTruthful),
-			"one cheater":   stats.NewCDF(cres.TotalCheat),
-		}, []string{"both truthful", "one cheater"})
-		section("Figure 10b — cheating (distance): individual gain (CDF of ISPs)")
-		printSeries("% gain", 0, 15, n, map[string]*stats.CDF{
-			"both truthful": stats.NewCDF(cres.IndTruthful),
-			"cheater":       stats.NewCDF(cres.IndCheater),
-			"truthful":      stats.NewCDF(cres.IndVictim),
-		}, []string{"both truthful", "cheater", "truthful"})
-		delta := stats.NewCDF(cres.CheaterDelta)
-		fmt.Printf("paired effect of cheating on the cheater itself: mean %+.2f%%, hurts in %.0f%% of pairs\n",
-			delta.Mean(), 100*delta.At(-1e-9))
-	}
-	if has(*fig, "all", "11") {
-		section("Figure 11 — cheating (bandwidth): MEL ratio to optimal (CDF of failure cases)")
-		fmt.Println("upstream ISP (the cheater):")
-		printSeries("load ratio", 0, 6, n, map[string]*stats.CDF{
-			"both truthful": stats.NewCDF(bres.UpNeg),
-			"one cheater":   stats.NewCDF(bres.CheatUpNeg),
-			"default":       stats.NewCDF(bres.UpDef),
-		}, []string{"both truthful", "one cheater", "default"})
-		fmt.Println("downstream ISP (truthful):")
-		printSeries("load ratio", 0, 6, n, map[string]*stats.CDF{
-			"both truthful": stats.NewCDF(bres.DownNeg),
-			"one cheater":   stats.NewCDF(bres.CheatDownNeg),
-			"default":       stats.NewCDF(bres.DownDef),
-		}, []string{"both truthful", "one cheater", "default"})
-	}
-	if has(*fig, "all", "extras") {
-		printExtras(ds, dres, opt, bopt)
-	}
-}
-
-// extrasFractions is the §6 scalability sweep both extras modes run.
-var extrasFractions = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
-
-// extrasOptions bounds the extras sweeps — these renegotiate pairs
-// repeatedly, so unbounded runs are capped. One definition shared by
-// figure mode (printExtras) and streaming mode keeps the two paths
-// covering identical work for identical flags.
-func extrasOptions(opt experiments.Options, bopt experiments.BandwidthOptions) (dOpt, sOpt experiments.Options, stOpt experiments.BandwidthOptions) {
-	dOpt = opt // destination-based comparison
-	if dOpt.MaxPairs == 0 || dOpt.MaxPairs > 100 {
-		dOpt.MaxPairs = 100
-	}
-	sOpt = opt // scalability sweep renegotiates each pair 6 times
-	if sOpt.MaxPairs == 0 || sOpt.MaxPairs > 60 {
-		sOpt.MaxPairs = 60
-	}
-	stOpt = bopt // stability replay: respect -max-failures up to 300
-	if stOpt.MaxFailures == 0 || stOpt.MaxFailures > 300 {
-		stOpt.MaxFailures = 300
-	}
-	if stOpt.MaxPairs == 0 || stOpt.MaxPairs > 40 {
-		stOpt.MaxPairs = 40
-	}
-	return dOpt, sOpt, stOpt
-}
-
-// printExtras reproduces the analyses the paper describes in text but
-// omits from figures for space.
-func printExtras(ds *experiments.Dataset, dres *experiments.DistanceResult, opt experiments.Options, bopt experiments.BandwidthOptions) {
-	section("Extra — negotiated gain vs number of interconnections (§5.1 text)")
-	var counts []int
-	for k := range dres.GainVsInterconnections {
-		counts = append(counts, k)
-	}
-	sort.Ints(counts)
-	for _, k := range counts {
-		c := stats.NewCDF(dres.GainVsInterconnections[k])
-		fmt.Printf("  %2d interconnections: %s\n", k, stats.Summary(c))
-	}
-
-	section("Extra — fraction of flows moved off the default (§5.1 text, ~20%)")
-	fmt.Printf("  %s\n", stats.Summary(stats.NewCDF(dres.NonDefaultFraction)))
-
-	section("Extra — negotiating in 4 separate groups (§5.1 text)")
-	fmt.Printf("  whole table: %s\n", stats.Summary(stats.NewCDF(dres.PairGainNeg)))
-	fmt.Printf("  4 groups:    %s\n", stats.Summary(stats.NewCDF(dres.GroupGain4)))
-
-	section("Extra — preference range ablation (§5 text: beyond [-10,10] no gain)")
-	bounds := []int{1, 2, 3, 5, 10, 20, 50}
-	abl, err := experiments.PreferenceRangeAblation(ds, opt, bounds)
-	if err != nil {
-		fatal(err)
-	}
-	for _, p := range bounds {
-		fmt.Printf("  P=%-3d median total gain: %.2f%%\n", p, abl[p])
-	}
-
-	dOpt, sOpt, stOpt := extrasOptions(opt, bopt)
-
-	section("Extra — negotiating only the biggest flows (§6 scalability)")
-	fractions := extrasFractions
-	sc, err := experiments.Scalability(ds, sOpt, fractions)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  pairs: %d (gravity flow sizes)\n", sc.Pairs)
-	for i, f := range fractions {
-		fmt.Printf("  top flows covering %3.0f%% of traffic = %4.1f%% of flows -> %3.0f%% of the full gain\n",
-			100*f, 100*sc.FlowShare[i], 100*sc.GainShare[i])
-	}
-
-	section("Extra — destination-based routing (footnote 2)")
-	db, err := experiments.DestinationBased(ds, dOpt)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  pairs: %d; gains measured against each regime's own default\n", db.Pairs)
-	fmt.Printf("  source-destination routing: %s\n", stats.Summary(stats.NewCDF(db.GainSrcDst)))
-	fmt.Printf("  destination-based routing:  %s\n", stats.Summary(stats.NewCDF(db.GainDstOnly)))
-
-	section("Extra — cycles of influence under reactive unilateral routing (§1/§2.2)")
-	st, err := experiments.Stability(ds, stOpt)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("  failure cases: %d\n", st.FailureCases)
-	fmt.Printf("  reactive best-response dynamics: %d converged, %d oscillated, %d exhausted\n",
-		st.Converged, st.Oscillated, st.Exhausted)
-	fmt.Printf("  negotiation: always terminates (by construction)\n")
-	fmt.Printf("  reactive end-state worst MEL:   %s\n", stats.Summary(stats.NewCDF(st.ReactiveWorst)))
-	fmt.Printf("  negotiated worst MEL:           %s\n", stats.Summary(stats.NewCDF(st.NegotiatedWorst)))
-}
-
-// runStreaming drives the figure selection through the streaming
-// drivers, emitting one NDJSON object per result as it is produced and
-// one constant-memory summary line per experiment. Output order is
-// deterministic (the runner's ordered reducer), so two runs with the
-// same flags are byte-identical regardless of -workers.
-func runStreaming(w io.Writer, ds *experiments.Dataset, fig string, opt experiments.Options, bopt experiments.BandwidthOptions) error {
 	bw := bufio.NewWriter(w)
-	defer bw.Flush()
 	enc := json.NewEncoder(bw)
-
+	write := func(v any) error {
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+		return bw.Flush() // one line out per result: truly incremental
+	}
 	type envelope struct {
 		Experiment string `json:"experiment"`
 		Index      int    `json:"index"`
 		Data       any    `json:"data"`
-	}
-	emit := func(exp string, idx int, data any) error {
-		if err := enc.Encode(envelope{Experiment: exp, Index: idx, Data: data}); err != nil {
-			return err
-		}
-		return bw.Flush() // one line out per result: truly incremental
 	}
 	type summary struct {
 		Experiment string            `json:"experiment"`
@@ -399,116 +185,111 @@ func runStreaming(w io.Writer, ds *experiments.Dataset, fig string, opt experime
 		// elsewhere, aggregate here — DESIGN.md §10).
 		Digests map[string]*stats.Digest `json:"digests,omitempty"`
 	}
-	emitSummary := func(exp string, n int, digests map[string]*stats.Digest) error {
-		s := summary{Experiment: exp, Results: n, Series: map[string]string{}, Digests: digests}
-		for name, d := range digests {
-			s.Series[name] = d.Summary()
-		}
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
+	return runExperiments(ds, *fig, opt, bopt,
+		func(exp string, idx int, r any) error { return write(envelope{exp, idx, r}) },
+		func(exp string, n int, digests map[string]*stats.Digest) error {
+			sum := summary{Experiment: exp, Results: n, Series: map[string]string{}, Digests: digests}
+			for name, d := range digests {
+				sum.Series[name] = d.Summary()
+			}
+			return write(sum)
+		})
+}
 
-	if has(fig, "all", "4", "5", "6", "extras") {
-		neg, opt2 := stats.NewDigest(), stats.NewDigest()
-		n := 0
-		err := experiments.DistanceStream(ds, opt, func(idx int, r *experiments.DistancePairResult) error {
-			neg.Add(r.GainNeg)
-			opt2.Add(r.GainOpt)
-			n++
-			return emit("distance", idx, r)
-		})
-		if err != nil {
-			return err
-		}
-		if err := emitSummary("distance", n, map[string]*stats.Digest{
-			"gain_negotiated": neg, "gain_optimal": opt2,
-		}); err != nil {
-			return err
-		}
+// writeHeapProfile writes a profile of the live heap to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if has(fig, "all", "7", "8", "9", "11") {
-		upNeg, downNeg := stats.NewDigest(), stats.NewDigest()
-		cases, err := experiments.BandwidthStream(ds, bopt, func(idx int, r *experiments.BandwidthCaseResult) error {
-			upNeg.Add(r.UpNeg)
-			downNeg.Add(r.DownNeg)
-			return emit("bandwidth", idx, r)
-		})
-		if err != nil {
-			return err
-		}
-		if err := emitSummary("bandwidth", cases, map[string]*stats.Digest{
-			"up_negotiated": upNeg, "down_negotiated": downNeg,
-		}); err != nil {
-			return err
-		}
+	runtime.GC() // report live objects, not GC-collectible garbage
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
 	}
-	if has(fig, "all", "10") {
-		truthful, cheat := stats.NewDigest(), stats.NewDigest()
-		n := 0
-		err := experiments.DistanceCheatStream(ds, opt, func(idx int, r *experiments.CheatPairResult) error {
-			truthful.Add(r.TotalTruthful)
-			cheat.Add(r.TotalCheat)
-			n++
-			return emit("distance-cheat", idx, r)
-		})
-		if err != nil {
-			return err
-		}
-		if err := emitSummary("distance-cheat", n, map[string]*stats.Digest{
-			"total_truthful": truthful, "total_cheat": cheat,
-		}); err != nil {
-			return err
-		}
-	}
-	if has(fig, "all", "extras") {
-		// The shared extrasOptions bounds mean batch and streaming
-		// extras cover the same work for the same flags — except the
-		// preference-range ablation (a derived sweep of full re-runs,
-		// figure mode only; see the package comment).
-		dOpt, sOpt, stOpt := extrasOptions(opt, bopt)
+	return f.Close()
+}
 
-		dst := stats.NewDigest()
-		n := 0
-		err := experiments.DestinationStream(ds, dOpt, func(idx int, r *experiments.DestinationPairResult) error {
-			dst.Add(r.GainDstOnly)
-			n++
-			return emit("destination", idx, r)
-		})
-		if err != nil {
-			return err
+// runExperiments runs every experiment the -fig selection needs, in a
+// fixed order, handing each record to record and then each
+// experiment's record count and summary digests to summary. Output
+// order is deterministic (the runner's ordered reducer), so two runs
+// with the same flags are byte-identical regardless of -workers.
+func runExperiments(ds *experiments.Dataset, fig string, opt experiments.Options, bopt experiments.BandwidthOptions,
+	record func(exp string, idx int, r any) error, summary func(exp string, n int, digests map[string]*stats.Digest) error) error {
+	// The extras sweeps renegotiate pairs repeatedly, so unbounded runs
+	// are capped.
+	capAt := func(n, limit int) int {
+		if n == 0 || n > limit {
+			return limit
 		}
-		if err := emitSummary("destination", n, map[string]*stats.Digest{"gain_dst_only": dst}); err != nil {
-			return err
-		}
+		return n
+	}
+	dOpt, sOpt, stOpt := opt, opt, bopt
+	dOpt.MaxPairs = capAt(opt.MaxPairs, 100)  // destination-based comparison
+	sOpt.MaxPairs = capAt(opt.MaxPairs, 60)   // scalability renegotiates each pair 6 times
+	stOpt.MaxPairs = capAt(bopt.MaxPairs, 40) // stability replay
+	stOpt.MaxFailures = capAt(bopt.MaxFailures, 300)
 
-		// Same fraction sweep as batch extras, so streamed records carry
-		// the full §6 curve.
-		first := stats.NewDigest()
-		n = 0
-		err = experiments.ScalabilityStream(ds, sOpt, extrasFractions,
-			func(idx int, r *experiments.ScalabilityPairResult) error {
-				first.Add(r.GainShares[0])
-				n++
-				return emit("scalability", idx, r)
+	// Each experiment streams its records through rec, with the values
+	// its summary line digests, one per series name.
+	type emit func(idx int, r any, values ...float64) error
+	for _, e := range []struct {
+		name   string
+		series []string
+		run    func(rec emit) error
+	}{
+		{"distance", []string{"gain_negotiated", "gain_optimal"}, func(rec emit) error {
+			return experiments.DistanceStream(ds, opt, func(i int, r *experiments.DistancePairResult) error {
+				return rec(i, r, r.GainNeg, r.GainOpt)
 			})
-		if err != nil {
+		}},
+		{"bandwidth", []string{"up_negotiated", "down_negotiated"}, func(rec emit) error {
+			_, err := experiments.BandwidthStream(ds, bopt, func(i int, r *experiments.BandwidthCaseResult) error {
+				return rec(i, r, r.UpNeg, r.DownNeg)
+			})
 			return err
-		}
-		if err := emitSummary("scalability", n, map[string]*stats.Digest{"gain_share_20pct_traffic": first}); err != nil {
+		}},
+		{"distance-cheat", []string{"total_truthful", "total_cheat"}, func(rec emit) error {
+			return experiments.DistanceCheatStream(ds, opt, func(i int, r *experiments.CheatPairResult) error {
+				return rec(i, r, r.TotalTruthful, r.TotalCheat)
+			})
+		}},
+		{"destination", []string{"gain_dst_only"}, func(rec emit) error {
+			return experiments.DestinationStream(ds, dOpt, func(i int, r *experiments.DestinationPairResult) error {
+				return rec(i, r, r.GainDstOnly)
+			})
+		}},
+		{"scalability", []string{"gain_share_20pct_traffic"}, func(rec emit) error {
+			return experiments.ScalabilityStream(ds, sOpt, plot.ScalabilityFractions,
+				func(i int, r *experiments.ScalabilityPairResult) error { return rec(i, r, r.GainShares[0]) })
+		}},
+		{"stability", []string{"reactive_worst_mel"}, func(rec emit) error {
+			_, err := experiments.StabilityStream(ds, stOpt, func(i int, r *experiments.StabilityCaseResult) error {
+				return rec(i, r, r.ReactiveWorst)
+			})
 			return err
+		}},
+	} {
+		if !plot.Needs(fig, e.name) {
+			continue
 		}
-
-		worst := stats.NewDigest()
-		cases, err := experiments.StabilityStream(ds, stOpt, func(idx int, r *experiments.StabilityCaseResult) error {
-			worst.Add(r.ReactiveWorst)
-			return emit("stability", idx, r)
+		digests := make(map[string]*stats.Digest, len(e.series))
+		for _, name := range e.series {
+			digests[name] = stats.NewDigest()
+		}
+		n := 0
+		err := e.run(func(idx int, r any, values ...float64) error {
+			for i, v := range values {
+				digests[e.series[i]].Add(v)
+			}
+			n++
+			return record(e.name, idx, r)
 		})
 		if err != nil {
 			return err
 		}
-		if err := emitSummary("stability", cases, map[string]*stats.Digest{"reactive_worst_mel": worst}); err != nil {
+		if err := summary(e.name, n, digests); err != nil {
 			return err
 		}
 	}
@@ -539,26 +320,6 @@ func loadDataset(path string, isps, workers int) (*experiments.Dataset, error) {
 		return nil, err
 	}
 	return experiments.FromISPs(loaded), nil
-}
-
-func has(v string, options ...string) bool {
-	for _, o := range options {
-		if v == o {
-			return true
-		}
-	}
-	return false
-}
-
-func section(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
-}
-
-func printSeries(xLabel string, min, max float64, n int, curves map[string]*stats.CDF, order []string) {
-	fmt.Print(stats.FormatSeries(xLabel, min, max, n, curves, order))
-	for _, name := range order {
-		fmt.Printf("  %s: %s\n", name, stats.Summary(curves[name]))
-	}
 }
 
 func fatal(err error) {

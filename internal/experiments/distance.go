@@ -340,21 +340,25 @@ func DistanceCheat(ds *Dataset, opt Options) (*DistanceCheatResult, error) {
 // PreferenceRangeAblation reruns the negotiated distance experiment for
 // several preference bounds P and returns median total gain per P — the
 // paper's observation that "increasing the range [beyond -10,10] does
-// not lead to noticeable increase in performance".
+// not lead to noticeable increase in performance" (the upper median of
+// each rerun's negotiated pair gains).
 func PreferenceRangeAblation(ds *Dataset, opt Options, bounds []int) (map[int]float64, error) {
 	opt = opt.withDefaults()
 	out := make(map[int]float64, len(bounds))
 	for _, p := range bounds {
 		o := opt
 		o.PrefBound = p
-		r, err := Distance(ds, o)
+		var gains []float64
+		err := DistanceStream(ds, o, func(_ int, r *DistancePairResult) error {
+			gains = append(gains, r.GainNeg)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		sorted := append([]float64(nil), r.PairGainNeg...)
-		sort.Float64s(sorted)
-		if len(sorted) > 0 {
-			out[p] = sorted[len(sorted)/2]
+		sort.Float64s(gains)
+		if len(gains) > 0 {
+			out[p] = gains[len(gains)/2]
 		}
 	}
 	return out, nil

@@ -1,32 +1,229 @@
-// Package plot folds nexitsim -stream NDJSON back into the paper's
-// figure tables, and renders live mesh progress from agentd status
-// snapshots — the analysis half of the streaming pipeline (DESIGN.md
-// §10). The fold is constant-memory: every curve is an online
-// fixed-grid CDF (the figure axes are fixed per panel) plus a digest
-// for the per-curve summary line, so a fold over a million records
-// holds the same few kilobytes as a fold over ten.
+// Package plot owns the paper's figure layout: which sections each
+// nexitsim -fig value prints, their titles, axes, curve order and
+// decoration lines. A Fold accumulates experiment records — in process
+// from nexitsim's figure mode, or as nexitsim -stream NDJSON in
+// cmd/nexitplot — and renders the figure tables; the package also
+// renders live mesh progress from agentd status snapshots (DESIGN.md
+// §10). Every curve is an online fixed-grid CDF (the figure axes are
+// fixed per panel) plus a digest for the per-curve summary line.
 //
-// Because GridCDF counts are integers and digest sketches canonicalize
-// before rendering, folding shards of a run in any order produces the
-// same bytes as folding the whole run — the merge-parity contract CI
-// pins. While digest sketches are uncompacted (n <= 4096 per curve)
-// the summary lines also match the batch nexitsim figure mode
-// byte-for-byte.
+// The digests' sketch capacity is the fold's one setting. nexitsim
+// keeps every sample, so its summary lines are exact. cmd/nexitplot
+// bounds each sketch at stats.DefaultSketchCap points, so a fold over a
+// million records holds a few kilobytes per curve; up to that many
+// samples per curve its summaries are exact too. Because GridCDF counts
+// are integers and digest sketches canonicalize before rendering,
+// folding shards of a run in any order produces the same bytes as
+// folding the whole run — the merge-parity contract CI pins.
 package plot
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/stability"
 	"repro/internal/stats"
 )
 
+// ScalabilityFractions is the §6 traffic-fraction axis: nexitsim runs
+// the scalability sweep over it, and every scalability record carries
+// one gain share and one flow share per fraction.
+var ScalabilityFractions = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
+
+// AblationBounds are the preference bounds P the §5 ablation lists.
+var AblationBounds = []int{1, 2, 3, 5, 10, 20, 50}
+
+// section is one block of the figure output: the -fig value selecting
+// it (every section is also part of "all"), the experiment whose
+// records it renders, and the renderer.
+type section struct {
+	fig, exp string
+	render   func(printer)
+}
+
+func (s section) selected(fig string) bool { return fig == "all" || fig == s.fig }
+
+// layout lists the sections in -fig all order. "ablation" is not a
+// streamed experiment: only an in-process caller supplies it, through
+// SetAblation.
+var layout = []section{
+	{"4", "distance", func(p printer) {
+		p.section("Figure 4a — distance: total gain over default routing (CDF of ISP pairs)")
+		fmt.Fprintf(p, "pairs: %d\n", p.f.count["distance"])
+		p.series("4a", "negotiated", "optimal")
+		p.section("Figure 4b — distance: individual ISP gain (CDF of ISPs)")
+		p.series("4b", "negotiated", "optimal")
+		fmt.Fprintf(p, "ISPs losing under global optimum: %d/%d (paper: roughly a third)\n",
+			p.f.indLosers, 2*p.f.count["distance"])
+	}},
+	{"5", "distance", func(p printer) {
+		p.section("Figure 5 — flow-local strategies: total gain (CDF of ISP pairs)")
+		p.series("5", "flow-both-better", "flow-Pareto")
+	}},
+	{"6", "distance", func(p printer) {
+		p.section("Figure 6 — distance: per-flow gain (CDF of flows, all pairs pooled)")
+		p.series("6", "negotiated", "optimal")
+		n := p.f.n("6", "negotiated")
+		fmt.Fprintf(p, "flows gaining >20%%: %.1f%%   >50%%: %.1f%% (paper: 7%% and 1%%)\n",
+			100*(1-frac(p.f.flowLE20, n)), 100*(1-frac(p.f.flowLE50, n)))
+	}},
+	{"7", "bandwidth", func(p printer) {
+		p.section("Figure 7 — bandwidth: MEL relative to optimal after a failure (CDF of failure cases)")
+		fmt.Fprintf(p, "failure cases: %d\n", p.f.count["bandwidth"])
+		fmt.Fprintln(p, "upstream ISP:")
+		p.series("7.up", "negotiated", "default")
+		fmt.Fprintln(p, "downstream ISP:")
+		p.series("7.down", "negotiated", "default")
+	}},
+	{"8", "bandwidth", func(p printer) {
+		p.section("Figure 8 — unilateral upstream optimization: downstream MEL vs default (CDF)")
+		p.series("8", "upstream-optimized")
+		fmt.Fprintf(p, "cases where downstream MEL more than doubles: %.1f%% (paper: ~10%%)\n",
+			100*(1-frac(p.f.uniLE2, p.f.n("8", "upstream-optimized"))))
+	}},
+	{"9", "bandwidth", func(p printer) {
+		p.section("Figure 9 — diverse criteria: upstream bandwidth vs downstream distance")
+		fmt.Fprintln(p, "upstream ISP (MEL ratio to optimal):")
+		p.series("9.up", "negotiated", "default")
+		fmt.Fprintln(p, "downstream ISP (distance gain over default):")
+		p.series("9.down", "negotiated")
+	}},
+	{"10", "distance-cheat", func(p printer) {
+		p.section("Figure 10a — cheating (distance): total gain (CDF of ISP pairs)")
+		fmt.Fprintf(p, "pairs: %d\n", p.f.count["distance-cheat"])
+		p.series("10a", "both truthful", "one cheater")
+		p.section("Figure 10b — cheating (distance): individual gain (CDF of ISPs)")
+		p.series("10b", "both truthful", "cheater", "truthful")
+		delta := p.f.curve("10", "cheater delta").dig
+		fmt.Fprintf(p, "paired effect of cheating on the cheater itself: mean %+.2f%%, hurts in %.0f%% of pairs\n",
+			delta.Sketch.Mean(), 100*frac(p.f.deltaLEneg, p.f.n("10", "cheater delta")))
+	}},
+	{"11", "bandwidth", func(p printer) {
+		p.section("Figure 11 — cheating (bandwidth): MEL ratio to optimal (CDF of failure cases)")
+		fmt.Fprintln(p, "upstream ISP (the cheater):")
+		p.series("11.up", "both truthful", "one cheater", "default")
+		fmt.Fprintln(p, "downstream ISP (truthful):")
+		p.series("11.down", "both truthful", "one cheater", "default")
+	}},
+	// The analyses the paper describes in text but omits from figures
+	// for space.
+	{"extras", "distance", func(p printer) {
+		p.section("Extra — negotiated gain vs number of interconnections (§5.1 text)")
+		counts := make([]int, 0, len(p.f.gainByIC))
+		for k := range p.f.gainByIC {
+			counts = append(counts, k)
+		}
+		sort.Ints(counts)
+		for _, k := range counts {
+			fmt.Fprintf(p, "  %2d interconnections: %s\n", k, p.f.gainByIC[k].StableSummary())
+		}
+		p.section("Extra — fraction of flows moved off the default (§5.1 text, ~20%)")
+		fmt.Fprintf(p, "  %s\n", p.summary("extras", "non-default"))
+		p.section("Extra — negotiating in 4 separate groups (§5.1 text)")
+		fmt.Fprintf(p, "  whole table: %s\n", p.summary("4a", "negotiated"))
+		fmt.Fprintf(p, "  4 groups:    %s\n", p.summary("extras", "4 groups"))
+	}},
+	{"extras", "ablation", func(p printer) {
+		p.section("Extra — preference range ablation (§5 text: beyond [-10,10] no gain)")
+		for _, b := range AblationBounds {
+			fmt.Fprintf(p, "  P=%-3d median total gain: %.2f%%\n", b, p.f.ablation[b])
+		}
+	}},
+	{"extras", "scalability", func(p printer) {
+		p.section("Extra — negotiating only the biggest flows (§6 scalability)")
+		fmt.Fprintf(p, "  pairs: %d (gravity flow sizes)\n", p.f.count["scalability"])
+		for i, x := range ScalabilityFractions {
+			var flows, gain float64
+			if p.f.count["scalability"] > 0 {
+				flows = p.f.curve("scalability.flows", strconv.Itoa(i)).dig.Sketch.Median()
+				gain = p.f.curve("scalability.gain", strconv.Itoa(i)).dig.Sketch.Median()
+			}
+			fmt.Fprintf(p, "  top flows covering %3.0f%% of traffic = %4.1f%% of flows -> %3.0f%% of the full gain\n",
+				100*x, 100*flows, 100*gain)
+		}
+	}},
+	{"extras", "destination", func(p printer) {
+		p.section("Extra — destination-based routing (footnote 2)")
+		fmt.Fprintf(p, "  pairs: %d; gains measured against each regime's own default\n", p.f.count["destination"])
+		fmt.Fprintf(p, "  source-destination routing: %s\n", p.summary("destination", "src-dst"))
+		fmt.Fprintf(p, "  destination-based routing:  %s\n", p.summary("destination", "dst-only"))
+	}},
+	{"extras", "stability", func(p printer) {
+		o := p.f.outcomes
+		p.section("Extra — cycles of influence under reactive unilateral routing (§1/§2.2)")
+		fmt.Fprintf(p, "  failure cases: %d\n", p.f.count["stability"])
+		fmt.Fprintf(p, "  reactive best-response dynamics: %d converged, %d oscillated, %d exhausted\n",
+			o[stability.Converged], o[stability.Oscillated], o[stability.Exhausted])
+		fmt.Fprintf(p, "  negotiation: always terminates (by construction)\n")
+		fmt.Fprintf(p, "  reactive end-state worst MEL:   %s\n", p.summary("stability", "reactive"))
+		fmt.Fprintf(p, "  negotiated worst MEL:           %s\n", p.summary("stability", "negotiated"))
+	}},
+}
+
+// CheckFlags returns a labelled error unless fig is a -fig value ("all"
+// or one of the sections' figure names) and a table of points rows can
+// span its axis, which takes at least its two end points.
+func CheckFlags(fig string, points int) error {
+	figs := []string{"all"}
+	for _, s := range layout {
+		if figs[len(figs)-1] != s.fig {
+			figs = append(figs, s.fig)
+		}
+	}
+	if !slices.Contains(figs, fig) {
+		return fmt.Errorf("-fig %q: unknown figure (want one of %s)", fig, strings.Join(figs, ", "))
+	}
+	if points < 2 {
+		return fmt.Errorf("-points %d: need at least 2 points per series", points)
+	}
+	return nil
+}
+
+// Needs reports whether selection fig renders a section built from
+// experiment exp's records.
+func Needs(fig, exp string) bool {
+	for _, s := range layout {
+		if s.exp == exp && s.selected(fig) {
+			return true
+		}
+	}
+	return false
+}
+
+// axis is one panel's fixed x-axis. The fold counts each sample into
+// its panel's grid on arrival, so the axis is known before any record.
+type axis struct {
+	label    string
+	min, max float64
+}
+
+var axes = map[string]axis{
+	"4a":      {"% gain", 0, 15},
+	"4b":      {"% gain", -20, 40},
+	"5":       {"% gain", 0, 15},
+	"6":       {"% gain", 0, 60},
+	"7.up":    {"load ratio", 0, 6},
+	"7.down":  {"load ratio", 0, 6},
+	"8":       {"load ratio", 1, 6},
+	"9.up":    {"load ratio", 0, 6},
+	"9.down":  {"% gain", 0, 80},
+	"10a":     {"% gain", 0, 15},
+	"10b":     {"% gain", 0, 15},
+	"11.up":   {"load ratio", 0, 6},
+	"11.down": {"load ratio", 0, 6},
+}
+
 // curve pairs the two constant-memory views of one figure line: the
 // grid CDF renders the table, the digest renders the summary line.
+// Lines outside the figure panels have no axis and keep only a digest.
 type curve struct {
 	grid *stats.GridCDF
 	dig  *stats.Digest
@@ -38,9 +235,13 @@ func (c *curve) Series(min, max float64, n int) []stats.Point {
 	return c.grid.Series(min, max, n)
 }
 
-func (c *curve) add(v float64) {
-	c.grid.Add(v)
-	c.dig.Add(v)
+func (c *curve) add(vs ...float64) {
+	for _, v := range vs {
+		if c.grid != nil {
+			c.grid.Add(v)
+		}
+		c.dig.Add(v)
+	}
 }
 
 // summaryAgg merges one experiment's streamed summary lines across
@@ -53,24 +254,22 @@ type summaryAgg struct {
 	raw     map[string]string
 }
 
-// Fold is the streaming accumulator. Feed it NDJSON lines (records and
-// summary lines, from one run or from many shards of the same run) via
-// AddLine or ReadFrom, then Render the figure tables.
+// Fold is the figure accumulator. Feed it records in process via
+// AddRecord, or NDJSON lines (records and summary lines, from one run
+// or from many shards of the same run) via AddLine or ReadLines, then
+// Render the figure tables.
 type Fold struct {
-	points int
-	curves map[string]*curve
-
-	distPairs  int
-	indLosers  int
-	indN       int
-	flowN      int
-	flowLE20   int
-	flowLE50   int
-	bwCases    int
-	uniLE2     int
-	cheatPairs int
-	deltaLEneg int
-	deltaDig   *stats.Digest
+	points, sketchCap int
+	curves            map[[2]string]*curve
+	// count is the number of records folded per experiment present in
+	// the input; an experiment marked by Ran is present at 0, and its
+	// selected sections render with empty tables.
+	count    map[string]int
+	gainByIC map[int]*stats.Digest // negotiated gain by interconnection count
+	ablation map[int]float64
+	// Integer counts behind the decoration lines.
+	indLosers, flowLE20, flowLE50, uniLE2, deltaLEneg int
+	outcomes                                          [3]int // by stability.Outcome
 
 	summaries map[string]*summaryAgg
 	// Unknown counts lines for experiments this fold does not
@@ -78,25 +277,50 @@ type Fold struct {
 	Unknown int
 }
 
-// NewFold returns an empty fold rendering n-point series (nexitsim's
-// -points; the grids are built per-axis on first use, so n is fixed
-// for the fold's lifetime).
-func NewFold(n int) *Fold {
+// NewFold returns an empty fold rendering points-row series whose
+// summary digests hold at most sketchCap points each (0 selects
+// stats.DefaultSketchCap; math.MaxInt keeps every sample, making every
+// summary line exact).
+func NewFold(points, sketchCap int) *Fold {
 	return &Fold{
-		points:    n,
-		curves:    map[string]*curve{},
-		deltaDig:  stats.NewDigest(),
+		points:    points,
+		sketchCap: sketchCap,
+		curves:    map[[2]string]*curve{},
+		count:     map[string]int{},
+		gainByIC:  map[int]*stats.Digest{},
 		summaries: map[string]*summaryAgg{},
 	}
 }
 
-func (f *Fold) curve(key string, min, max float64) *curve {
+func (f *Fold) digest() *stats.Digest {
+	return &stats.Digest{Sketch: stats.NewQuantileSketch(f.sketchCap)}
+}
+
+func (f *Fold) curve(panel, name string) *curve {
+	key := [2]string{panel, name}
 	c, ok := f.curves[key]
 	if !ok {
-		c = &curve{grid: stats.NewGridCDF(min, max, f.points), dig: stats.NewDigest()}
+		c = &curve{dig: f.digest()}
+		if ax, ok := axes[panel]; ok {
+			c.grid = stats.NewGridCDF(ax.min, ax.max, f.points)
+		}
 		f.curves[key] = c
 	}
 	return c
+}
+
+// n is the number of samples in a curve, NaNs excluded as a CDF would.
+func (f *Fold) n(panel, name string) int { return int(f.curve(panel, name).dig.Stream.N()) }
+
+// Ran marks experiment exp as present even if it delivers no record,
+// as its summary line does in a stream.
+func (f *Fold) Ran(exp string) { f.count[exp] += 0 }
+
+// SetAblation supplies the preference-range ablation (median total
+// gain per bound P), the one input that is not a record stream.
+func (f *Fold) SetAblation(medians map[int]float64) {
+	f.ablation = medians
+	f.Ran("ablation")
 }
 
 // ndjsonLine is the superset of the two line shapes nexitsim emits: a
@@ -107,6 +331,21 @@ type ndjsonLine struct {
 	Results    int                      `json:"results"`
 	Series     map[string]string        `json:"series"`
 	Digests    map[string]*stats.Digest `json:"digests"`
+}
+
+// decoders maps each streamed experiment to its record type.
+var decoders = map[string]func(json.RawMessage) (any, error){
+	"distance":       decode[experiments.DistancePairResult],
+	"bandwidth":      decode[experiments.BandwidthCaseResult],
+	"distance-cheat": decode[experiments.CheatPairResult],
+	"destination":    decode[experiments.DestinationPairResult],
+	"scalability":    decode[experiments.ScalabilityPairResult],
+	"stability":      decode[experiments.StabilityCaseResult],
+}
+
+func decode[R any](data json.RawMessage) (any, error) {
+	r := new(R)
+	return r, json.Unmarshal(data, r)
 }
 
 // ReadLines folds every NDJSON line of r. Call once per shard file;
@@ -125,55 +364,140 @@ func (f *Fold) ReadLines(r io.Reader) error {
 }
 
 // AddLine folds one NDJSON line (a record envelope or a summary line).
-// Blank lines are ignored.
+// Blank lines are ignored; records of unknown experiments are counted
+// in Unknown. Every error is labelled "plot: ".
 func (f *Fold) AddLine(line []byte) error {
-	trimmed := false
-	for _, b := range line {
-		if b != ' ' && b != '\t' && b != '\r' {
-			trimmed = true
-			break
-		}
-	}
-	if !trimmed {
+	if len(bytes.TrimLeft(line, " \t\r")) == 0 {
 		return nil
 	}
 	var l ndjsonLine
 	if err := json.Unmarshal(line, &l); err != nil {
-		return err
+		return fmt.Errorf("plot: %w", err)
 	}
 	if l.Data == nil {
-		f.addSummary(&l)
+		return f.addSummary(&l)
+	}
+	if string(l.Data) == "null" {
+		return fmt.Errorf("plot: %q record has null data", l.Experiment)
+	}
+	dec, ok := decoders[l.Experiment]
+	if !ok {
+		f.Unknown++
 		return nil
 	}
-	switch l.Experiment {
-	case "distance":
-		var r experiments.DistancePairResult
-		if err := json.Unmarshal(l.Data, &r); err != nil {
-			return err
+	r, err := dec(l.Data)
+	if err != nil {
+		return fmt.Errorf("plot: %s record: %w", l.Experiment, err)
+	}
+	return f.AddRecord(r)
+}
+
+// AddRecord folds one experiment record: a pointer to one of the
+// experiments package's per-pair or per-case result types.
+func (f *Fold) AddRecord(r any) error {
+	switch r := r.(type) {
+	case *experiments.DistancePairResult:
+		f.count["distance"]++
+		f.curve("4a", "negotiated").add(r.GainNeg)
+		f.curve("4a", "optimal").add(r.GainOpt)
+		f.curve("4b", "negotiated").add(r.IndNegA, r.IndNegB)
+		f.curve("4b", "optimal").add(r.IndOptA, r.IndOptB)
+		for _, g := range [2]float64{r.IndOptA, r.IndOptB} {
+			if g < 0 {
+				f.indLosers++
+			}
 		}
-		f.addDistance(&r)
-	case "bandwidth":
-		var r experiments.BandwidthCaseResult
-		if err := json.Unmarshal(l.Data, &r); err != nil {
-			return err
+		f.curve("5", "flow-both-better").add(r.GainBothBetter)
+		f.curve("5", "flow-Pareto").add(r.GainPareto)
+		f.curve("6", "negotiated").add(r.FlowGainNeg...)
+		f.curve("6", "optimal").add(r.FlowGainOpt...)
+		for _, g := range r.FlowGainNeg {
+			if g <= 20 {
+				f.flowLE20++
+			}
+			if g <= 50 {
+				f.flowLE50++
+			}
 		}
-		f.addBandwidth(&r)
-	case "distance-cheat":
-		var r experiments.CheatPairResult
-		if err := json.Unmarshal(l.Data, &r); err != nil {
-			return err
+		ic, ok := f.gainByIC[r.Interconnections]
+		if !ok {
+			ic = f.digest()
+			f.gainByIC[r.Interconnections] = ic
 		}
-		f.addCheat(&r)
-	case "destination", "scalability", "stability":
-		// These records only feed their summary digests today; the
-		// figure-mode extras have no fixed-axis panels to rebuild.
+		ic.Add(r.GainNeg)
+		f.curve("extras", "non-default").add(r.NonDefaultFraction)
+		f.curve("extras", "4 groups").add(r.GainGroup4)
+	case *experiments.BandwidthCaseResult:
+		f.count["bandwidth"]++
+		f.curve("7.up", "negotiated").add(r.UpNeg)
+		f.curve("7.up", "default").add(r.UpDef)
+		f.curve("7.down", "negotiated").add(r.DownNeg)
+		f.curve("7.down", "default").add(r.DownDef)
+		f.curve("8", "upstream-optimized").add(r.UnilateralDownRatio)
+		if r.UnilateralDownRatio <= 2 {
+			f.uniLE2++
+		}
+		f.curve("9.up", "negotiated").add(r.DiverseUpNeg)
+		f.curve("9.up", "default").add(r.UpDef)
+		f.curve("9.down", "negotiated").add(r.DiverseDownGain)
+		f.curve("11.up", "both truthful").add(r.UpNeg)
+		f.curve("11.up", "one cheater").add(r.CheatUp)
+		f.curve("11.up", "default").add(r.UpDef)
+		f.curve("11.down", "both truthful").add(r.DownNeg)
+		f.curve("11.down", "one cheater").add(r.CheatDown)
+		f.curve("11.down", "default").add(r.DownDef)
+	case *experiments.CheatPairResult:
+		f.count["distance-cheat"]++
+		f.curve("10a", "both truthful").add(r.TotalTruthful)
+		f.curve("10a", "one cheater").add(r.TotalCheat)
+		f.curve("10b", "both truthful").add(r.IndTruthfulA, r.IndTruthfulB)
+		f.curve("10b", "cheater").add(r.IndCheater)
+		f.curve("10b", "truthful").add(r.IndVictim)
+		f.curve("10", "cheater delta").add(r.CheaterDelta)
+		if r.CheaterDelta <= -1e-9 {
+			f.deltaLEneg++
+		}
+	case *experiments.DestinationPairResult:
+		f.count["destination"]++
+		f.curve("destination", "src-dst").add(r.GainSrcDst)
+		f.curve("destination", "dst-only").add(r.GainDstOnly)
+	case *experiments.ScalabilityPairResult:
+		if len(r.GainShares) != len(ScalabilityFractions) || len(r.FlowShares) != len(ScalabilityFractions) {
+			return fmt.Errorf("plot: scalability record %q: %d gain shares and %d flow shares, want %d each",
+				r.Pair, len(r.GainShares), len(r.FlowShares), len(ScalabilityFractions))
+		}
+		f.count["scalability"]++
+		for i := range ScalabilityFractions {
+			f.curve("scalability.gain", strconv.Itoa(i)).add(r.GainShares[i])
+			f.curve("scalability.flows", strconv.Itoa(i)).add(r.FlowShares[i])
+		}
+	case *experiments.StabilityCaseResult:
+		f.count["stability"]++
+		switch r.Outcome {
+		case stability.Converged, stability.Oscillated:
+			f.outcomes[r.Outcome]++
+		default:
+			f.outcomes[stability.Exhausted]++
+		}
+		f.curve("stability", "reactive").add(r.ReactiveWorst)
+		f.curve("stability", "negotiated").add(r.NegotiatedWorst)
 	default:
-		f.Unknown++
+		return fmt.Errorf("plot: unknown record type %T", r)
 	}
 	return nil
 }
 
-func (f *Fold) addSummary(l *ndjsonLine) {
+// addSummary merges one summary line. Digests are checked before any
+// is merged, so a rejected line leaves the fold untouched.
+func (f *Fold) addSummary(l *ndjsonLine) error {
+	for name, d := range l.Digests {
+		if d == nil || d.Sketch.N() != d.Stream.N() {
+			return fmt.Errorf("plot: %q summary: digest %q is null or inconsistent", l.Experiment, name)
+		}
+	}
+	if _, streamed := decoders[l.Experiment]; streamed {
+		f.Ran(l.Experiment) // the ablation is never streamed
+	}
 	agg, ok := f.summaries[l.Experiment]
 	if !ok {
 		agg = &summaryAgg{digests: map[string]*stats.Digest{}, raw: map[string]string{}}
@@ -191,196 +515,77 @@ func (f *Fold) addSummary(l *ndjsonLine) {
 	for name, s := range l.Series {
 		agg.raw[name] = s
 	}
-}
-
-func (f *Fold) addDistance(r *experiments.DistancePairResult) {
-	f.distPairs++
-	f.curve("4a.negotiated", 0, 15).add(r.GainNeg)
-	f.curve("4a.optimal", 0, 15).add(r.GainOpt)
-	ind := f.curve("4b.negotiated", -20, 40)
-	ind.add(r.IndNegA)
-	ind.add(r.IndNegB)
-	opt := f.curve("4b.optimal", -20, 40)
-	for _, g := range [2]float64{r.IndOptA, r.IndOptB} {
-		opt.add(g)
-		f.indN++
-		if g < 0 {
-			f.indLosers++
-		}
-	}
-	f.curve("5.both-better", 0, 15).add(r.GainBothBetter)
-	f.curve("5.pareto", 0, 15).add(r.GainPareto)
-	flowNeg := f.curve("6.negotiated", 0, 60)
-	for _, g := range r.FlowGainNeg {
-		flowNeg.add(g)
-		f.flowN++
-		if g <= 20 {
-			f.flowLE20++
-		}
-		if g <= 50 {
-			f.flowLE50++
-		}
-	}
-	flowOpt := f.curve("6.optimal", 0, 60)
-	for _, g := range r.FlowGainOpt {
-		flowOpt.add(g)
-	}
-}
-
-func (f *Fold) addBandwidth(r *experiments.BandwidthCaseResult) {
-	f.bwCases++
-	f.curve("7.up.negotiated", 0, 6).add(r.UpNeg)
-	f.curve("7.up.default", 0, 6).add(r.UpDef)
-	f.curve("7.down.negotiated", 0, 6).add(r.DownNeg)
-	f.curve("7.down.default", 0, 6).add(r.DownDef)
-	f.curve("8.unilateral", 1, 6).add(r.UnilateralDownRatio)
-	if r.UnilateralDownRatio <= 2 {
-		f.uniLE2++
-	}
-	f.curve("9.up.negotiated", 0, 6).add(r.DiverseUpNeg)
-	f.curve("9.up.default", 0, 6).add(r.UpDef)
-	f.curve("9.down.gain", 0, 80).add(r.DiverseDownGain)
-	f.curve("11.up.cheat", 0, 6).add(r.CheatUp)
-	f.curve("11.down.cheat", 0, 6).add(r.CheatDown)
-}
-
-func (f *Fold) addCheat(r *experiments.CheatPairResult) {
-	f.cheatPairs++
-	f.curve("10a.truthful", 0, 15).add(r.TotalTruthful)
-	f.curve("10a.cheat", 0, 15).add(r.TotalCheat)
-	ind := f.curve("10b.truthful", 0, 15)
-	ind.add(r.IndTruthfulA)
-	ind.add(r.IndTruthfulB)
-	f.curve("10b.cheater", 0, 15).add(r.IndCheater)
-	f.curve("10b.victim", 0, 15).add(r.IndVictim)
-	f.deltaDig.Add(r.CheaterDelta)
-	if r.CheaterDelta <= -1e-9 {
-		f.deltaLEneg++
-	}
+	return nil
 }
 
 // frac reproduces stats.CDF.At's arithmetic from an online count, so
-// the decoration lines under the tables match batch output bit for
-// bit: At(x) = count(<= x)/n, FractionAbove = 1 - At.
-func frac(le, n int) float64 { return float64(le) / float64(n) }
+// the decoration lines match a CDF over the retained samples bit for
+// bit: At(x) = count(<= x)/n, 0 for an empty set; FractionAbove = 1 - At.
+func frac(le, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(le) / float64(n)
+}
 
-// Render writes the figure sections rebuilt from the folded records —
-// the same bytes nexitsim's figure mode prints for the panels the
-// stream carries — followed by the merged per-experiment summary
-// lines. Sections for experiments absent from the input are omitted.
-func (f *Fold) Render(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	section := func(title string) { fmt.Fprintf(bw, "\n=== %s ===\n", title) }
-	series := func(xLabel string, min, max float64, keys map[string]string, order []string) {
-		curves := map[string]*curve{}
-		for name, key := range keys {
-			curves[name] = f.curve(key, min, max)
+// Render writes the sections fig selects, in -fig all order, for the
+// experiments present in the fold, followed by the merged summary
+// lines of any streamed summaries folded in.
+func (f *Fold) Render(w io.Writer, fig string) error {
+	if err := CheckFlags(fig, f.points); err != nil {
+		return err
+	}
+	p := printer{bufio.NewWriter(w), f}
+	for _, s := range layout {
+		if _, present := f.count[s.exp]; present && s.selected(fig) {
+			s.render(p)
 		}
-		fmt.Fprint(bw, stats.FormatSeries(xLabel, min, max, f.points, curves, order))
-		for _, name := range order {
-			fmt.Fprintf(bw, "  %s: %s\n", name, curves[name].dig.StableSummary())
-		}
 	}
-
-	if f.distPairs > 0 {
-		section("Figure 4a — distance: total gain over default routing (CDF of ISP pairs)")
-		fmt.Fprintf(bw, "pairs: %d\n", f.distPairs)
-		series("% gain", 0, 15, map[string]string{
-			"negotiated": "4a.negotiated", "optimal": "4a.optimal",
-		}, []string{"negotiated", "optimal"})
-
-		section("Figure 4b — distance: individual ISP gain (CDF of ISPs)")
-		series("% gain", -20, 40, map[string]string{
-			"negotiated": "4b.negotiated", "optimal": "4b.optimal",
-		}, []string{"negotiated", "optimal"})
-		fmt.Fprintf(bw, "ISPs losing under global optimum: %d/%d (paper: roughly a third)\n",
-			f.indLosers, f.indN)
-
-		section("Figure 5 — flow-local strategies: total gain (CDF of ISP pairs)")
-		series("% gain", 0, 15, map[string]string{
-			"flow-both-better": "5.both-better", "flow-Pareto": "5.pareto",
-		}, []string{"flow-both-better", "flow-Pareto"})
-
-		section("Figure 6 — distance: per-flow gain (CDF of flows, all pairs pooled)")
-		series("% gain", 0, 60, map[string]string{
-			"negotiated": "6.negotiated", "optimal": "6.optimal",
-		}, []string{"negotiated", "optimal"})
-		fmt.Fprintf(bw, "flows gaining >20%%: %.1f%%   >50%%: %.1f%% (paper: 7%% and 1%%)\n",
-			100*(1-frac(f.flowLE20, f.flowN)), 100*(1-frac(f.flowLE50, f.flowN)))
-	}
-	if f.bwCases > 0 {
-		section("Figure 7 — bandwidth: MEL relative to optimal after a failure (CDF of failure cases)")
-		fmt.Fprintf(bw, "failure cases: %d\n", f.bwCases)
-		fmt.Fprintln(bw, "upstream ISP:")
-		series("load ratio", 0, 6, map[string]string{
-			"negotiated": "7.up.negotiated", "default": "7.up.default",
-		}, []string{"negotiated", "default"})
-		fmt.Fprintln(bw, "downstream ISP:")
-		series("load ratio", 0, 6, map[string]string{
-			"negotiated": "7.down.negotiated", "default": "7.down.default",
-		}, []string{"negotiated", "default"})
-
-		section("Figure 8 — unilateral upstream optimization: downstream MEL vs default (CDF)")
-		series("load ratio", 1, 6, map[string]string{
-			"upstream-optimized": "8.unilateral",
-		}, []string{"upstream-optimized"})
-		fmt.Fprintf(bw, "cases where downstream MEL more than doubles: %.1f%% (paper: ~10%%)\n",
-			100*(1-frac(f.uniLE2, f.bwCases)))
-
-		section("Figure 9 — diverse criteria: upstream bandwidth vs downstream distance")
-		fmt.Fprintln(bw, "upstream ISP (MEL ratio to optimal):")
-		series("load ratio", 0, 6, map[string]string{
-			"negotiated": "9.up.negotiated", "default": "9.up.default",
-		}, []string{"negotiated", "default"})
-		fmt.Fprintln(bw, "downstream ISP (distance gain over default):")
-		series("% gain", 0, 80, map[string]string{
-			"negotiated": "9.down.gain",
-		}, []string{"negotiated"})
-	}
-	if f.cheatPairs > 0 {
-		section("Figure 10a — cheating (distance): total gain (CDF of ISP pairs)")
-		fmt.Fprintf(bw, "pairs: %d\n", f.cheatPairs)
-		series("% gain", 0, 15, map[string]string{
-			"both truthful": "10a.truthful", "one cheater": "10a.cheat",
-		}, []string{"both truthful", "one cheater"})
-		section("Figure 10b — cheating (distance): individual gain (CDF of ISPs)")
-		series("% gain", 0, 15, map[string]string{
-			"both truthful": "10b.truthful", "cheater": "10b.cheater", "truthful": "10b.victim",
-		}, []string{"both truthful", "cheater", "truthful"})
-		fmt.Fprintf(bw, "paired effect of cheating on the cheater itself: mean %+.2f%%, hurts in %.0f%% of pairs\n",
-			f.deltaDig.Sketch.Mean(), 100*frac(f.deltaLEneg, f.cheatPairs))
-	}
-	if f.bwCases > 0 {
-		section("Figure 11 — cheating (bandwidth): MEL ratio to optimal (CDF of failure cases)")
-		fmt.Fprintln(bw, "upstream ISP (the cheater):")
-		series("load ratio", 0, 6, map[string]string{
-			"both truthful": "7.up.negotiated", "one cheater": "11.up.cheat", "default": "7.up.default",
-		}, []string{"both truthful", "one cheater", "default"})
-		fmt.Fprintln(bw, "downstream ISP (truthful):")
-		series("load ratio", 0, 6, map[string]string{
-			"both truthful": "7.down.negotiated", "one cheater": "11.down.cheat", "default": "7.down.default",
-		}, []string{"both truthful", "one cheater", "default"})
-	}
-
 	if len(f.summaries) > 0 {
-		section("Streaming summaries (merged across shards)")
+		p.section("Streaming summaries (merged across shards)")
 		for _, exp := range summaryOrder(f.summaries) {
 			agg := f.summaries[exp]
-			fmt.Fprintf(bw, "%s: %d results\n", exp, agg.results)
+			fmt.Fprintf(p, "%s: %d results\n", exp, agg.results)
 			for _, name := range sortedKeys(agg.digests, agg.raw) {
 				if d, ok := agg.digests[name]; ok {
-					fmt.Fprintf(bw, "  %s: %s\n", name, d.StableSummary())
+					fmt.Fprintf(p, "  %s: %s\n", name, d.StableSummary())
 				} else if agg.lines == 1 {
-					fmt.Fprintf(bw, "  %s: %s\n", name, agg.raw[name])
+					fmt.Fprintf(p, "  %s: %s\n", name, agg.raw[name])
 				} else {
 					// Legacy shards without digests cannot merge; say so
 					// instead of printing one shard's numbers as the whole.
-					fmt.Fprintf(bw, "  %s: (unmergeable: shards carry no digests)\n", name)
+					fmt.Fprintf(p, "  %s: (unmergeable: shards carry no digests)\n", name)
 				}
 			}
 		}
 	}
-	return bw.Flush()
+	return p.Flush()
+}
+
+// printer writes the sections of one Render.
+type printer struct {
+	*bufio.Writer
+	f *Fold
+}
+
+func (p printer) section(title string) { fmt.Fprintf(p, "\n=== %s ===\n", title) }
+
+func (p printer) summary(panel, name string) string {
+	return p.f.curve(panel, name).dig.StableSummary()
+}
+
+// series prints one panel's table over its fixed axis, then one summary
+// line per curve, in the given order.
+func (p printer) series(panel string, names ...string) {
+	ax := axes[panel]
+	curves := make(map[string]*curve, len(names))
+	for _, name := range names {
+		curves[name] = p.f.curve(panel, name)
+	}
+	fmt.Fprint(p, stats.FormatSeries(ax.label, ax.min, ax.max, p.f.points, curves, names))
+	for _, name := range names {
+		fmt.Fprintf(p, "  %s: %s\n", name, p.summary(panel, name))
+	}
 }
 
 // summaryOrder lists present experiments in nexitsim's emission order,

@@ -3,7 +3,7 @@ package plot
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -25,219 +25,96 @@ func testDataset(t *testing.T) *experiments.Dataset {
 }
 
 func testOpts() (experiments.Options, experiments.BandwidthOptions) {
-	// MaxPairs keeps every per-experiment digest under the
-	// QuantileSketch capacity (4096 points): the byte-parity contract
-	// these tests pin holds while sketches are uncompacted, and the
-	// flow-level experiment pools thousands of flow samples per pair.
+	// MaxPairs keeps every curve under stats.DefaultSketchCap samples:
+	// the flow-level Figure 6 pools thousands of flow samples per pair,
+	// and the NDJSON fold's digests compact beyond the cap.
 	opt := experiments.Options{MaxPairs: 4, Seed: 1, Workers: 2}
 	return opt, experiments.BandwidthOptions{Options: opt, Workload: traffic.Gravity, MaxFailures: 8}
 }
 
-// streamLines replays runStreaming's emission for the three figure
-// experiments: one envelope per record, one summary line (with
-// digests) per experiment — the NDJSON a `nexitsim -stream -fig all`
-// run writes for those experiments.
-func streamLines(t *testing.T, ds *experiments.Dataset, opt experiments.Options, bopt experiments.BandwidthOptions) [][]byte {
+// record is one streamed result with the experiment that produced it.
+type record struct {
+	exp string
+	idx int
+	r   any
+}
+
+// collect returns a driver sink appending exp's records to recs.
+func collect[R any](recs *[]record, exp string) func(int, *R) error {
+	return func(idx int, r *R) error {
+		*recs = append(*recs, record{exp, idx, r})
+		return nil
+	}
+}
+
+// runRecords runs the six streamed experiments in nexitsim's order and
+// returns their records, plus one summary line per experiment (a digest
+// of its record count, enough to exercise the summary merge).
+func runRecords(t *testing.T, ds *experiments.Dataset, opt experiments.Options, bopt experiments.BandwidthOptions) (recs []record, summaries [][]byte) {
 	t.Helper()
-	type envelope struct {
-		Experiment string `json:"experiment"`
-		Index      int    `json:"index"`
-		Data       any    `json:"data"`
+	check := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	type summary struct {
-		Experiment string                   `json:"experiment"`
-		Results    int                      `json:"results"`
-		Series     map[string]string        `json:"series"`
-		Digests    map[string]*stats.Digest `json:"digests,omitempty"`
+	check(experiments.DistanceStream(ds, opt, collect[experiments.DistancePairResult](&recs, "distance")))
+	_, err := experiments.BandwidthStream(ds, bopt, collect[experiments.BandwidthCaseResult](&recs, "bandwidth"))
+	check(err)
+	check(experiments.DistanceCheatStream(ds, opt, collect[experiments.CheatPairResult](&recs, "distance-cheat")))
+	check(experiments.DestinationStream(ds, opt, collect[experiments.DestinationPairResult](&recs, "destination")))
+	check(experiments.ScalabilityStream(ds, opt, ScalabilityFractions, collect[experiments.ScalabilityPairResult](&recs, "scalability")))
+	_, err = experiments.StabilityStream(ds, bopt, collect[experiments.StabilityCaseResult](&recs, "stability"))
+	check(err)
+
+	var order []string
+	n := map[string]int{}
+	for _, rec := range recs {
+		if n[rec.exp] == 0 {
+			order = append(order, rec.exp)
+		}
+		n[rec.exp]++
 	}
+	for _, exp := range order {
+		d := stats.NewDigest()
+		d.Add(float64(n[exp]))
+		b, err := json.Marshal(map[string]any{
+			"experiment": exp, "results": n[exp],
+			"series":  map[string]string{"n": d.Summary()},
+			"digests": map[string]*stats.Digest{"n": d},
+		})
+		check(err)
+		summaries = append(summaries, b)
+	}
+	return recs, summaries
+}
+
+// recordLines marshals records into nexitsim -stream envelopes.
+func recordLines(t *testing.T, recs []record) [][]byte {
+	t.Helper()
 	var lines [][]byte
-	emit := func(v any) {
-		b, err := json.Marshal(v)
+	for _, rec := range recs {
+		b, err := json.Marshal(map[string]any{"experiment": rec.exp, "index": rec.idx, "data": rec.r})
 		if err != nil {
 			t.Fatal(err)
 		}
 		lines = append(lines, b)
 	}
-	emitSummary := func(exp string, n int, digests map[string]*stats.Digest) {
-		s := summary{Experiment: exp, Results: n, Series: map[string]string{}, Digests: digests}
-		for name, d := range digests {
-			s.Series[name] = d.Summary()
-		}
-		emit(s)
-	}
-
-	neg, opt2 := stats.NewDigest(), stats.NewDigest()
-	n := 0
-	err := experiments.DistanceStream(ds, opt, func(idx int, r *experiments.DistancePairResult) error {
-		neg.Add(r.GainNeg)
-		opt2.Add(r.GainOpt)
-		n++
-		emit(envelope{Experiment: "distance", Index: idx, Data: r})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	emitSummary("distance", n, map[string]*stats.Digest{"gain_negotiated": neg, "gain_optimal": opt2})
-
-	upNeg, downNeg := stats.NewDigest(), stats.NewDigest()
-	cases, err := experiments.BandwidthStream(ds, bopt, func(idx int, r *experiments.BandwidthCaseResult) error {
-		upNeg.Add(r.UpNeg)
-		downNeg.Add(r.DownNeg)
-		emit(envelope{Experiment: "bandwidth", Index: idx, Data: r})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	emitSummary("bandwidth", cases, map[string]*stats.Digest{"up_negotiated": upNeg, "down_negotiated": downNeg})
-
-	truthful, cheat := stats.NewDigest(), stats.NewDigest()
-	n = 0
-	err = experiments.DistanceCheatStream(ds, opt, func(idx int, r *experiments.CheatPairResult) error {
-		truthful.Add(r.TotalTruthful)
-		cheat.Add(r.TotalCheat)
-		n++
-		emit(envelope{Experiment: "distance-cheat", Index: idx, Data: r})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	emitSummary("distance-cheat", n, map[string]*stats.Digest{"total_truthful": truthful, "total_cheat": cheat})
 	return lines
 }
 
-// batchFigures renders figures 4a through 11 exactly as cmd/nexitsim's
-// figure mode prints them (same sections, tables, summary and
-// decoration lines) from the batch experiment results.
-func batchFigures(t *testing.T, ds *experiments.Dataset, opt experiments.Options, bopt experiments.BandwidthOptions, n int) string {
+func addLines(t *testing.T, f *Fold, lines [][]byte) {
 	t.Helper()
-	dres, err := experiments.Distance(ds, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bres, err := experiments.Bandwidth(ds, bopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := experiments.DistanceCheat(ds, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var b strings.Builder
-	section := func(title string) { fmt.Fprintf(&b, "\n=== %s ===\n", title) }
-	printSeries := func(xLabel string, min, max float64, curves map[string]*stats.CDF, order []string) {
-		b.WriteString(stats.FormatSeries(xLabel, min, max, n, curves, order))
-		for _, name := range order {
-			fmt.Fprintf(&b, "  %s: %s\n", name, stats.Summary(curves[name]))
+	for _, line := range lines {
+		if err := f.AddLine(line); err != nil {
+			t.Fatal(err)
 		}
 	}
-
-	section("Figure 4a — distance: total gain over default routing (CDF of ISP pairs)")
-	fmt.Fprintf(&b, "pairs: %d\n", dres.Pairs)
-	printSeries("% gain", 0, 15, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(dres.PairGainNeg),
-		"optimal":    stats.NewCDF(dres.PairGainOpt),
-	}, []string{"negotiated", "optimal"})
-
-	section("Figure 4b — distance: individual ISP gain (CDF of ISPs)")
-	printSeries("% gain", -20, 40, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(dres.IndGainNeg),
-		"optimal":    stats.NewCDF(dres.IndGainOpt),
-	}, []string{"negotiated", "optimal"})
-	losers := 0
-	for _, g := range dres.IndGainOpt {
-		if g < 0 {
-			losers++
-		}
-	}
-	fmt.Fprintf(&b, "ISPs losing under global optimum: %d/%d (paper: roughly a third)\n",
-		losers, len(dres.IndGainOpt))
-
-	section("Figure 5 — flow-local strategies: total gain (CDF of ISP pairs)")
-	printSeries("% gain", 0, 15, map[string]*stats.CDF{
-		"flow-both-better": stats.NewCDF(dres.PairGainBothBetter),
-		"flow-Pareto":      stats.NewCDF(dres.PairGainPareto),
-	}, []string{"flow-both-better", "flow-Pareto"})
-
-	section("Figure 6 — distance: per-flow gain (CDF of flows, all pairs pooled)")
-	printSeries("% gain", 0, 60, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(dres.FlowGainNeg),
-		"optimal":    stats.NewCDF(dres.FlowGainOpt),
-	}, []string{"negotiated", "optimal"})
-	negCDF := stats.NewCDF(dres.FlowGainNeg)
-	fmt.Fprintf(&b, "flows gaining >20%%: %.1f%%   >50%%: %.1f%% (paper: 7%% and 1%%)\n",
-		100*negCDF.FractionAbove(20), 100*negCDF.FractionAbove(50))
-
-	section("Figure 7 — bandwidth: MEL relative to optimal after a failure (CDF of failure cases)")
-	fmt.Fprintf(&b, "failure cases: %d\n", bres.FailureCases)
-	fmt.Fprintln(&b, "upstream ISP:")
-	printSeries("load ratio", 0, 6, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(bres.UpNeg),
-		"default":    stats.NewCDF(bres.UpDef),
-	}, []string{"negotiated", "default"})
-	fmt.Fprintln(&b, "downstream ISP:")
-	printSeries("load ratio", 0, 6, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(bres.DownNeg),
-		"default":    stats.NewCDF(bres.DownDef),
-	}, []string{"negotiated", "default"})
-
-	section("Figure 8 — unilateral upstream optimization: downstream MEL vs default (CDF)")
-	printSeries("load ratio", 1, 6, map[string]*stats.CDF{
-		"upstream-optimized": stats.NewCDF(bres.UnilateralDownRatio),
-	}, []string{"upstream-optimized"})
-	hurt := stats.NewCDF(bres.UnilateralDownRatio).FractionAbove(2)
-	fmt.Fprintf(&b, "cases where downstream MEL more than doubles: %.1f%% (paper: ~10%%)\n", 100*hurt)
-
-	section("Figure 9 — diverse criteria: upstream bandwidth vs downstream distance")
-	fmt.Fprintln(&b, "upstream ISP (MEL ratio to optimal):")
-	printSeries("load ratio", 0, 6, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(bres.DiverseUpNeg),
-		"default":    stats.NewCDF(bres.DiverseUpDef),
-	}, []string{"negotiated", "default"})
-	fmt.Fprintln(&b, "downstream ISP (distance gain over default):")
-	printSeries("% gain", 0, 80, map[string]*stats.CDF{
-		"negotiated": stats.NewCDF(bres.DiverseDownGain),
-	}, []string{"negotiated"})
-
-	section("Figure 10a — cheating (distance): total gain (CDF of ISP pairs)")
-	fmt.Fprintf(&b, "pairs: %d\n", cres.Pairs)
-	printSeries("% gain", 0, 15, map[string]*stats.CDF{
-		"both truthful": stats.NewCDF(cres.TotalTruthful),
-		"one cheater":   stats.NewCDF(cres.TotalCheat),
-	}, []string{"both truthful", "one cheater"})
-	section("Figure 10b — cheating (distance): individual gain (CDF of ISPs)")
-	printSeries("% gain", 0, 15, map[string]*stats.CDF{
-		"both truthful": stats.NewCDF(cres.IndTruthful),
-		"cheater":       stats.NewCDF(cres.IndCheater),
-		"truthful":      stats.NewCDF(cres.IndVictim),
-	}, []string{"both truthful", "cheater", "truthful"})
-	delta := stats.NewCDF(cres.CheaterDelta)
-	fmt.Fprintf(&b, "paired effect of cheating on the cheater itself: mean %+.2f%%, hurts in %.0f%% of pairs\n",
-		delta.Mean(), 100*delta.At(-1e-9))
-
-	section("Figure 11 — cheating (bandwidth): MEL ratio to optimal (CDF of failure cases)")
-	fmt.Fprintln(&b, "upstream ISP (the cheater):")
-	printSeries("load ratio", 0, 6, map[string]*stats.CDF{
-		"both truthful": stats.NewCDF(bres.UpNeg),
-		"one cheater":   stats.NewCDF(bres.CheatUpNeg),
-		"default":       stats.NewCDF(bres.UpDef),
-	}, []string{"both truthful", "one cheater", "default"})
-	fmt.Fprintln(&b, "downstream ISP (truthful):")
-	printSeries("load ratio", 0, 6, map[string]*stats.CDF{
-		"both truthful": stats.NewCDF(bres.DownNeg),
-		"one cheater":   stats.NewCDF(bres.CheatDownNeg),
-		"default":       stats.NewCDF(bres.DownDef),
-	}, []string{"both truthful", "one cheater", "default"})
-	return b.String()
 }
 
-func render(t *testing.T, f *Fold) string {
+func render(t *testing.T, f *Fold, fig string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := f.Render(&buf); err != nil {
+	if err := f.Render(&buf, fig); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -259,66 +136,71 @@ func diffLine(t *testing.T, what, got, want string) {
 	t.Fatalf("%s: lengths diverge: got %d lines, want %d", what, len(g), len(w))
 }
 
-// The fold must reproduce the batch figure sections byte for byte:
-// same tables (GridCDF == CDF.Series on the fixed axes), same summary
-// lines (digest sketches uncompacted at this scale), same decoration
-// lines (integer counts through the same arithmetic).
-func TestFoldReproducesBatchFigures(t *testing.T) {
-	ds := testDataset(t)
+// The NDJSON fold (nexitplot's bounded digests, records through a JSON
+// round trip) must render every section byte for byte like the
+// in-process fold nexitsim's figure mode uses (exact digests, records
+// as produced) while no curve outgrows the sketch capacity: floats
+// round-trip exactly through encoding/json, grid counts are integers,
+// and an uncompacted sketch summarizes exactly.
+func TestFoldNDJSONMatchesInProcess(t *testing.T) {
 	opt, bopt := testOpts()
-	const points = 16
-
-	fold := NewFold(points)
-	for _, line := range streamLines(t, ds, opt, bopt) {
-		// Records only: the batch reference has no summaries section.
-		if bytes.Contains(line, []byte(`"data"`)) {
-			if err := fold.AddLine(line); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	got := render(t, fold)
-	want := batchFigures(t, ds, opt, bopt, points)
-	diffLine(t, "fold vs batch", got, want)
-}
-
-// Any line-split of a run folds to the same bytes as the whole run,
-// shards fed in any order — the CI merge-parity contract.
-func TestFoldShardParity(t *testing.T) {
-	ds := testDataset(t)
-	opt, bopt := testOpts()
-	lines := streamLines(t, ds, opt, bopt)
-
-	whole := NewFold(16)
-	for _, line := range lines {
-		if err := whole.AddLine(line); err != nil {
+	recs, _ := runRecords(t, testDataset(t), opt, bopt)
+	inProcess := NewFold(16, math.MaxInt)
+	for _, rec := range recs {
+		if err := inProcess.AddRecord(rec.r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantOut := render(t, whole)
-	if !strings.Contains(wantOut, "Streaming summaries") {
-		t.Fatal("no summaries section; summary lines were not folded")
+	for key, c := range inProcess.curves {
+		if n := c.dig.Stream.N(); n > stats.DefaultSketchCap {
+			t.Fatalf("curve %v holds %d samples, past the sketch capacity this parity needs", key, n)
+		}
+	}
+	ndjson := NewFold(16, stats.DefaultSketchCap)
+	addLines(t, ndjson, recordLines(t, recs))
+
+	want := render(t, inProcess, "all")
+	for _, title := range []string{"Figure 4a", "Figure 11", "interconnections", "4 separate groups",
+		"biggest flows", "destination-based", "cycles of influence"} {
+		if !strings.Contains(want, title) {
+			t.Fatalf("in-process render lacks the %q section", title)
+		}
+	}
+	diffLine(t, "ndjson vs in-process", render(t, ndjson, "all"), want)
+}
+
+// Any line-split of a run folds to the same bytes as the whole run,
+// shards fed in any order — the CI merge-parity contract — extras and
+// summary lines included.
+func TestFoldShardParity(t *testing.T) {
+	opt, bopt := testOpts()
+	recs, summaries := runRecords(t, testDataset(t), opt, bopt)
+	lines := append(recordLines(t, recs), summaries...)
+
+	whole := NewFold(16, stats.DefaultSketchCap)
+	addLines(t, whole, lines)
+	wantOut := render(t, whole, "all")
+	for _, title := range []string{"Streaming summaries", "cycles of influence"} {
+		if !strings.Contains(wantOut, title) {
+			t.Fatalf("whole-run render lacks %q", title)
+		}
 	}
 
 	// Interleave NR%2, then feed the odd shard first.
-	sharded := NewFold(16)
-	for pass, want := range []int{1, 0} {
-		_ = pass
+	sharded := NewFold(16, stats.DefaultSketchCap)
+	for _, keep := range []int{1, 0} {
 		for i, line := range lines {
-			if i%2 != want {
-				continue
-			}
-			if err := sharded.AddLine(line); err != nil {
-				t.Fatal(err)
+			if i%2 == keep {
+				addLines(t, sharded, [][]byte{line})
 			}
 		}
 	}
-	diffLine(t, "sharded vs whole", render(t, sharded), wantOut)
+	diffLine(t, "sharded vs whole", render(t, sharded, "all"), wantOut)
 }
 
 // Lines from unknown experiments are skipped and counted, never fatal.
 func TestFoldUnknownExperiment(t *testing.T) {
-	f := NewFold(8)
+	f := NewFold(8, 0)
 	if err := f.AddLine([]byte(`{"experiment":"hyperspace","index":0,"data":{"x":1}}`)); err != nil {
 		t.Fatalf("unknown experiment should not error: %v", err)
 	}
@@ -330,5 +212,86 @@ func TestFoldUnknownExperiment(t *testing.T) {
 	}
 	if err := f.AddLine([]byte(`{broken`)); err == nil {
 		t.Fatal("corrupt JSON must error")
+	}
+}
+
+// Lines that parse as JSON but cannot be folded are rejected with a
+// labelled error and leave the fold unchanged.
+func TestFoldRejectsMalformedLines(t *testing.T) {
+	for _, tc := range []struct{ name, line, want string }{
+		{"null distance data", `{"experiment":"distance","data":null}`, "null data"},
+		{"null unknown data", `{"experiment":"hyperspace","index":3,"data":null}`, "null data"},
+		{"wrong record shape", `{"experiment":"bandwidth","data":[1,2]}`, "bandwidth record"},
+		{"short gain shares", `{"experiment":"scalability","data":{"pair":"a-b","gain_shares":[1],"flow_shares":[0.1,0.2,0.3,0.4,1]}}`, "1 gain shares"},
+		{"long flow shares", `{"experiment":"scalability","data":{"pair":"a-b","gain_shares":[1,1,1,1,1],"flow_shares":[0,0,0,0,0,0]}}`, "6 flow shares"},
+		{"null digest", `{"experiment":"distance","results":1,"digests":{"gain":null}}`, "digest"},
+		{"digest counts disagree", `{"experiment":"distance","results":1,"digests":{"gain":{"stream":{"n":2,"sum":1,"min":0,"max":1}}}}`, "digest"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewFold(8, 0)
+			err := f.AddLine([]byte(tc.line))
+			if err == nil || !strings.HasPrefix(err.Error(), "plot: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("AddLine(%s) = %v, want a plot: error mentioning %q", tc.line, err, tc.want)
+			}
+			if len(f.count) != 0 || len(f.curves) != 0 || len(f.summaries) != 0 {
+				t.Fatalf("rejected line changed the fold")
+			}
+		})
+	}
+}
+
+// A distance record without flow samples renders the Figure 6 fraction
+// line as 100.0%, like a CDF over an empty sample set, not NaN%.
+func TestFoldEmptyFlowSet(t *testing.T) {
+	f := NewFold(8, 0)
+	if err := f.AddRecord(&experiments.DistancePairResult{Pair: "a-b", Interconnections: 2}); err != nil {
+		t.Fatal(err)
+	}
+	out := render(t, f, "6")
+	if want := "flows gaining >20%: 100.0%   >50%: 100.0%"; !strings.Contains(out, want) {
+		t.Fatalf("Figure 6 with no flow samples:\n%s\nwant the line %q", out, want)
+	}
+}
+
+// An experiment that ran but delivered no record still renders its
+// selected sections (with empty tables), and only those.
+func TestRenderSelection(t *testing.T) {
+	f := NewFold(4, 0)
+	f.Ran("bandwidth")
+	out := render(t, f, "8")
+	if !strings.Contains(out, "Figure 8") || strings.Contains(out, "Figure 7") {
+		t.Fatalf("-fig 8 rendered:\n%s", out)
+	}
+	if out := render(t, f, "4"); out != "" {
+		t.Fatalf("-fig 4 without distance records rendered:\n%s", out)
+	}
+	if err := f.AddLine([]byte(`{"experiment":"ablation","results":7}`)); err != nil {
+		t.Fatal(err)
+	}
+	if out := render(t, f, "extras"); strings.Contains(out, "preference range ablation") {
+		t.Fatalf("a streamed line made the in-process-only ablation render:\n%s", out)
+	}
+	if err := f.Render(&bytes.Buffer{}, "12"); err == nil {
+		t.Fatal("Render accepted -fig 12")
+	}
+}
+
+func TestCheckFlags(t *testing.T) {
+	for _, fig := range []string{"all", "4", "5", "6", "7", "8", "9", "10", "11", "extras"} {
+		if err := CheckFlags(fig, 2); err != nil {
+			t.Errorf("CheckFlags(%q, 2) = %v", fig, err)
+		}
+	}
+	for _, fig := range []string{"", "12", "3", "4a", "ALL", "ablation"} {
+		err := CheckFlags(fig, 16)
+		if err == nil || !strings.HasPrefix(err.Error(), "-fig ") {
+			t.Errorf("CheckFlags(%q, 16) = %v, want a labelled error", fig, err)
+		}
+	}
+	if err := CheckFlags("all", 1); err == nil || !strings.HasPrefix(err.Error(), "-points ") {
+		t.Errorf("CheckFlags(all, 1) = %v, want a labelled error", err)
+	}
+	if !Needs("extras", "ablation") || Needs("4", "bandwidth") || !Needs("all", "stability") || !Needs("11", "bandwidth") {
+		t.Error("Needs disagrees with the layout")
 	}
 }

@@ -108,10 +108,11 @@ func (s *Stream) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// sketchCap is the default point capacity of a QuantileSketch: exact
-// quantiles up to this many samples, ~32 KiB of floats, and a rank
-// error that stays below 1/sketchCap per compaction level beyond it.
-const sketchCap = 4096
+// DefaultSketchCap is the default point capacity of a QuantileSketch:
+// exact quantiles up to this many samples, 64 KiB of points, and a rank
+// error that stays below 1/DefaultSketchCap per compaction level beyond
+// it.
+const DefaultSketchCap = 4096
 
 // wpoint is one weighted point of a sketch: v stands for w original
 // samples at or near v.
@@ -137,15 +138,17 @@ type QuantileSketch struct {
 }
 
 // NewQuantileSketch returns a sketch holding at most capacity points
-// (0 selects the default, 4096).
+// (0 selects DefaultSketchCap; math.MaxInt keeps every sample, so the
+// sketch never compacts and stays exact). Points are allocated as
+// samples arrive, not up front.
 func NewQuantileSketch(capacity int) *QuantileSketch {
 	if capacity <= 0 {
-		capacity = sketchCap
+		capacity = DefaultSketchCap
 	}
 	if capacity < 8 {
 		capacity = 8
 	}
-	return &QuantileSketch{cap: capacity, points: make([]wpoint, 0, capacity+1)}
+	return &QuantileSketch{cap: capacity}
 }
 
 // Add folds one sample in. NaNs are dropped, mirroring NewCDF.
@@ -286,7 +289,7 @@ func (q *QuantileSketch) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	if j.Cap <= 0 {
-		j.Cap = sketchCap
+		j.Cap = DefaultSketchCap
 	}
 	if j.Cap < 8 {
 		j.Cap = 8
@@ -360,8 +363,9 @@ func (d *Digest) Summary() string {
 // bits; Sketch.Mean sums canonically sorted points, so (while the
 // sketch is uncompacted) the line is byte-identical for ANY sharding
 // of the same samples — and equal to the batch Summary(NewCDF(...))
-// line, which also sums sorted samples. cmd/nexitplot's merge path
-// pins exactly this.
+// line, which also sums sorted samples. The figure tables rely on
+// exactly this: nexitsim's figure mode renders through uncompacted
+// sketches, and cmd/nexitplot's merge path pins shard parity.
 func (d *Digest) StableSummary() string {
 	if d.Stream.N() == 0 {
 		return "n=0"
